@@ -10,7 +10,11 @@ kernel microbenchmarks in smoke mode, and fails when:
 * the live speedup vs the frozen seed implementation falls below 1.2×
   (the machine-independent guard — absolute events/s comparisons only
   mean something on the machine that wrote the baseline; after moving
-  machines, re-baseline with ``--update``).
+  machines, re-baseline with ``--update``); or
+* the retention gate finds state that finished transactions left
+  behind (``--retention`` runs just that gate: cyclic garbage, entries
+  at rest, tracemalloc bytes/txn and within-run time ratios — nothing
+  machine-dependent).
 
 Update mode (``--update``) re-measures at full size and rewrites
 ``BENCH_kernel.json`` so subsequent PRs have a trajectory to regress
@@ -371,6 +375,49 @@ def run_chaos_gate() -> int:
     return 0 if report.clean else 1
 
 
+def run_retention_gate() -> int:
+    """Forget-means-forget gate (``repro.verify.retention``): every
+    protocol x optimization cell, sequential and ~10 in flight, must
+    leave zero cyclic garbage and nothing at rest; the two
+    perfbench-shaped workloads at 4000 transactions must also keep
+    flat memory within their budgets and flat time.  Only
+    machine-independent measures: object counts, tracemalloc bytes and
+    within-run ratios.  Returns a failure count."""
+    from repro.verify import retention
+    print("== retention (what finished transactions leave behind) ==")
+    failures = 0
+    cells = 0
+    for protocol in retention.PROTOCOLS:
+        for variant in retention.VARIANTS:
+            for concurrent in (False, True):
+                cells += 1
+                report = retention.run_cell(protocol, variant,
+                                            concurrent=concurrent)
+                for problem in report.problems():
+                    mode = "concurrent" if concurrent else "sequential"
+                    print(f"  {protocol}/{variant}/{mode}: {problem}",
+                          file=sys.stderr)
+                    failures += 1
+    print(f"  {cells} cells x {report.txns} txns: no cyclic garbage, "
+          f"nothing at rest" if not failures else
+          f"  {failures} problem(s) in {cells} cells")
+    for name, run, budget in (
+            ("steady", retention.run_steady, retention.STEADY_BUDGET),
+            ("contended", retention.run_contended,
+             retention.CONTENDED_BUDGET)):
+        report, problems = retention.checked(run, budget)
+        print(f"  {name}: {report.txns} txns, "
+              f"{report.bytes_per_txn():.0f} B/txn resident "
+              f"(budget {budget:.0f}); quarter 2 vs 4: "
+              f"{report.bytes_per_txn(2):.0f} vs "
+              f"{report.bytes_per_txn(4):.0f} B/txn in small blocks, "
+              f"time x{report.block_cpu[3] / report.block_cpu[0]:.2f}")
+        for problem in problems:
+            print(f"  {name}: {problem}", file=sys.stderr)
+        failures += len(problems)
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
@@ -410,6 +457,12 @@ def main(argv=None) -> int:
                              "sites on real sockets, restart from WAL, "
                              "require clean settlement — zero "
                              "tolerance")
+    parser.add_argument("--retention", action="store_true",
+                        help="run only the retention gate (it is part "
+                             "of every default run): zero cyclic "
+                             "garbage, nothing left at rest, flat "
+                             "tracemalloc bytes/txn within budget and "
+                             "flat time at 4000 transactions")
     parser.add_argument("--skip-tests", action="store_true",
                         help="skip the tier-1 suite")
     parser.add_argument("--tolerance", type=float,
@@ -419,6 +472,8 @@ def main(argv=None) -> int:
                              "(default 0.20)")
     args = parser.parse_args(argv)
 
+    if args.retention:
+        return 1 if run_retention_gate() else 0
     if not args.skip_tests and not run_tier1():
         print("tier-1 suite failed", file=sys.stderr)
         return 1
@@ -458,6 +513,10 @@ def main(argv=None) -> int:
             return status
     if args.update:
         return update_baseline()
+    if run_retention_gate():
+        print("retention gate failed: finished transactions leave "
+              "state behind", file=sys.stderr)
+        return 1
     if args.scale:
         status = check_scale_baseline(args.tolerance)
         if status:

@@ -34,9 +34,13 @@ class CommitContext:
     def __init__(self, txn_id: str, node: str,
                  spec: Optional[TransactionSpec] = None,
                  participant: Optional[ParticipantSpec] = None,
-                 parent: Optional[str] = None) -> None:
+                 parent: Optional[str] = None,
+                 incarnation: int = 0) -> None:
         self.txn_id = txn_id
         self.node = node
+        #: The node's crash count when this context was created; a
+        #: context from before a crash is dead (TMNode.context_live).
+        self.incarnation = incarnation
         self.spec = spec
         self.participant = participant
         self.parent = parent
@@ -156,6 +160,10 @@ class CommitContext:
 
     def all_votes_in(self) -> bool:
         return self.expected_votes <= set(self.votes)
+
+    def votes_outstanding(self) -> bool:
+        """A child sent a prepare has yet to vote."""
+        return not self.contacted <= self.votes.keys()
 
     def any_no_vote(self) -> bool:
         return any(v.vote is Vote.NO for v in self.votes.values())

@@ -115,7 +115,7 @@ class DecisionMixin:
             self.send(MessageType.ABORT, context.delegated_from,
                       context.txn_id,
                       defer=self._defer_decision_send(context))
-            context.awaiting_implied_ack = True
+            self._await_implied_ack(context)
         elif context.delegated_from is not None:
             self.send(MessageType.ABORT, context.delegated_from,
                       context.txn_id)
@@ -146,7 +146,7 @@ class DecisionMixin:
                       flags={"ok_to_leave_out":
                              context.subtree_offers_leave_out()},
                       defer=self._defer_decision_send(context))
-            context.awaiting_implied_ack = True
+            self._await_implied_ack(context)
 
         hold_locks = (context.is_decision_maker and context.spec is not None
                       and context.spec.long_locks and self.config.long_locks)
@@ -184,7 +184,9 @@ class DecisionMixin:
                    else "abort")
         context = self.ctx(message.txn_id)
         if context is None or context.state is TxnState.FORGOTTEN:
-            # Duplicate delivery after we forgot (e.g. recovery retry).
+            # Duplicate delivery after we forgot (e.g. recovery retry),
+            # or the outcome reaching a read-only voter.  (A forgotten
+            # context is still here only while it waits for late votes.)
             self._ack_duplicate_outcome(message, outcome)
             return
         if self._duplicate_decision(context, outcome):
@@ -197,12 +199,10 @@ class DecisionMixin:
                              TxnState.HEURISTIC_ABORTED):
             self.resolve_heuristic(context, outcome, via_recovery=False)
             return
-        if context.state is TxnState.READ_ONLY_DONE:
-            return
         if context.ro_delegation:
             # Read-only initiator learning the outcome from its last
             # agent: nothing to log, nothing to propagate.
-            self.transition(context, TxnState.FORGOTTEN)
+            self.forget(context)
             if context.handle is not None:
                 context.handle.complete(outcome, self.simulator.now)
             return
@@ -357,12 +357,20 @@ class DecisionMixin:
         context = self.ctx(message.txn_id)
         if context is None:
             return
-        context.reports.extend(
-            reports_from_payload(message.payload.get("reports", [])))
+        self._take_reports(context, message)
         if message.payload.get("outcome_pending"):
             context.outcome_pending_below = True
         context.acks_pending.discard(message.src)
         self._maybe_finish(context)
+
+    def _take_reports(self: "TMNode", context: CommitContext,
+                      message: Message) -> None:
+        """Heuristic-damage reports riding an acknowledgment."""
+        reports = reports_from_payload(message.payload.get("reports", []))
+        context.reports.extend(reports)
+        for report in reports:
+            self.metrics.record_heuristic_report(report.node, report.txn_id,
+                                                 reported_to=self.name)
 
     def _ack_required(self: "TMNode", context: CommitContext) -> bool:
         if context.parent is None or context.is_decision_maker:
@@ -428,12 +436,11 @@ class DecisionMixin:
         final = (TxnState.COMMITTED if outcome == "commit"
                  else TxnState.ABORTED)
         self.transition(context, final)
-        if context.awaiting_implied_ack:
-            # Stay rememberable until the implied ack arrives; the END
-            # above is withheld until then (see _needs_end).
-            pass
-        else:
-            self.transition(context, TxnState.FORGOTTEN)
+        if not context.awaiting_implied_ack:
+            # (Otherwise: stay rememberable until the implied ack
+            # arrives; the END above is withheld until then, see
+            # _needs_end.)
+            self.forget(context)
         if context.handle is not None and not context.handle.done:
             context.handle.complete(
                 outcome, self.simulator.now,
@@ -456,20 +463,43 @@ class DecisionMixin:
             return False
         return True
 
+    def _await_implied_ack(self: "TMNode", context: CommitContext) -> None:
+        """The decision went to the delegator; its next message is the
+        acknowledgment (see :meth:`handle_implied_ack`)."""
+        context.awaiting_implied_ack = True
+        self._implied_ack_waiters.setdefault(
+            context.delegated_from, []).append(context)
+
     def handle_implied_ack(self: "TMNode", partner: str) -> None:
         """Any message from ``partner`` implies its pending acks."""
-        for context in self.contexts.values():
-            if context.awaiting_implied_ack and \
-                    context.delegated_from == partner and \
-                    context.state in (TxnState.COMMITTED, TxnState.ABORTED):
-                context.awaiting_implied_ack = False
-                if context.logged_anything:
-                    self.log_tm(context, LogRecordType.END,
-                                payload={"outcome": context.outcome,
-                                         "implied_ack": True})
-                self.transition(context, TxnState.FORGOTTEN)
-                self.note(context.txn_id,
-                          f"implied ack from {partner}; forgets")
+        waiters = self._implied_ack_waiters.get(partner)
+        if not waiters:
+            return
+        # A waiter still propagating its decision (not yet COMMITTED /
+        # ABORTED) keeps waiting for a later message.
+        finished = [context for context in waiters if context.state in
+                    (TxnState.COMMITTED, TxnState.ABORTED)]
+        if not finished:
+            return
+        if len(finished) == len(waiters):
+            del self._implied_ack_waiters[partner]
+        else:
+            waiters[:] = [context for context in waiters
+                          if context not in finished]
+        if len(finished) > 1:
+            # Context-creation order (END records, and so LSNs, follow
+            # it), not the order the decisions happened to go out in.
+            finished = [context for context in self.contexts.values()
+                        if context in finished]
+        for context in finished:
+            context.awaiting_implied_ack = False
+            if context.logged_anything:
+                self.log_tm(context, LogRecordType.END,
+                            payload={"outcome": context.outcome,
+                                     "implied_ack": True})
+            self.forget(context)
+            self.note(context.txn_id,
+                      f"implied ack from {partner}; forgets")
 
     # ------------------------------------------------------------------
     # OK-TO-LEAVE-OUT bookkeeping

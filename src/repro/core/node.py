@@ -74,9 +74,28 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             name="default", node_name=name, simulator=simulator,
             metrics=metrics, log=self.log, reliable=reliable)
         self.detached_rms: Dict[str, ResourceManager] = {}
+        #: Commit contexts of the transactions in flight here.  A
+        #: transaction this node has forgotten is absent, exactly like
+        #: one it never saw (see :meth:`forget`).
         self.contexts: Dict[str, CommitContext] = {}
+        #: Last-agent contexts owed an implied acknowledgment, by the
+        #: partner whose next message is that acknowledgment.
+        self._implied_ack_waiters: Dict[str, List[CommitContext]] = {}
         self.sessions: Dict[str, Session] = {}
         self._deferred_outbox: Dict[str, List[Message]] = {}
+        self._handlers: Dict[MessageType, Callable[[Message], None]] = {
+            MessageType.DATA: self.on_data,
+            MessageType.PREPARE: self.on_prepare,
+            MessageType.VOTE_YES: self.on_vote,
+            MessageType.VOTE_NO: self.on_vote,
+            MessageType.VOTE_READ_ONLY: self.on_vote,
+            MessageType.COMMIT: self.on_outcome_message,
+            MessageType.ABORT: self.on_outcome_message,
+            MessageType.ACK: self.on_ack,
+            MessageType.INQUIRE: self.on_inquire,
+            MessageType.OUTCOME: self.on_recovery_outcome,
+            MessageType.RECOVERY_ACK: self.on_recovery_ack,
+        }
         #: Trace hook: callables invoked with (node, txn_id, text).
         self.on_note: List[Callable[[str, str, str], None]] = []
         #: Phase-boundary hook: callables invoked with
@@ -152,7 +171,8 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         if txn_id in self.contexts:
             raise ProtocolError(
                 f"{self.name}: context for {txn_id} already exists")
-        context = CommitContext(txn_id=txn_id, node=self.name, **kwargs)
+        context = CommitContext(txn_id=txn_id, node=self.name,
+                                incarnation=self.crash_count, **kwargs)
         self.contexts[txn_id] = context
         for hook in self.on_transition:
             hook(self.name, txn_id, None, context.state)
@@ -173,14 +193,45 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             hook(self.name, context.txn_id, old, state)
 
     def forget(self, context: CommitContext) -> None:
-        context.cancel_timers()
+        """END: no memory of the transaction is required any more.
+
+        One duty can outlive the END: a coordinator that aborted on the
+        first NO still owes the abort to a child whose YES vote is on
+        its way.  Its context stays until the prepared children have
+        all been heard from (``on_vote`` evicts it then).
+        """
         self.transition(context, TxnState.FORGOTTEN)
+        if not context.votes_outstanding():
+            self._evict(context)
+
+    def _evict(self, context: CommitContext) -> None:
+        """Drop a context that has nothing left to do (forgotten, or out
+        of the protocol after a read-only vote).
+
+        From here on the node treats the transaction like one it never
+        saw: late and duplicate messages are answered from the log,
+        else by the presumption.  The resource managers finished their
+        local commit or abort before the context got here, so their
+        entries go too.
+        """
+        context.cancel_timers()
+        if self.contexts.get(context.txn_id) is context:
+            del self.contexts[context.txn_id]
+        for rm in self.all_rms():
+            rm.forget(context.txn_id)
+
+    def forgotten(self, txn_id: str) -> bool:
+        """No context, but the log has records of the transaction: a
+        message that would *start* it here (enrollment, a prepare or a
+        delegation to a partner without work) is a late copy."""
+        return txn_id not in self.contexts and self.log.remembers(txn_id)
 
     def context_live(self, context: CommitContext) -> bool:
-        """True iff this context is still the node's current state for
-        its transaction.  Timer callbacks created before a crash hold
-        references to pre-crash contexts; they must not act."""
-        return self.alive and self.contexts.get(context.txn_id) is context
+        """True unless a crash wiped this context.  Timer callbacks
+        created before a crash hold references to pre-crash contexts;
+        they must not act.  A context evicted because it is done stays
+        live: what was armed for it may still complete."""
+        return self.alive and context.incarnation == self.crash_count
 
     # ------------------------------------------------------------------
     # Sending (with long-locks deferral and piggybacking)
@@ -238,20 +289,7 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             self._dispatch(piggybacked)
 
     def _dispatch(self, message: Message) -> None:
-        handlers = {
-            MessageType.DATA: self.on_data,
-            MessageType.PREPARE: self.on_prepare,
-            MessageType.VOTE_YES: self.on_vote,
-            MessageType.VOTE_NO: self.on_vote,
-            MessageType.VOTE_READ_ONLY: self.on_vote,
-            MessageType.COMMIT: self.on_outcome_message,
-            MessageType.ABORT: self.on_outcome_message,
-            MessageType.ACK: self.on_ack,
-            MessageType.INQUIRE: self.on_inquire,
-            MessageType.OUTCOME: self.on_recovery_outcome,
-            MessageType.RECOVERY_ACK: self.on_recovery_ack,
-        }
-        handlers[message.msg_type](message)
+        self._handlers[message.msg_type](message)
 
     # ------------------------------------------------------------------
     # Data phase: enrollment and work tracking
@@ -385,12 +423,13 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
 
     def on_data(self, message: Message) -> None:
         if message.flag("enroll"):
-            if self.ctx(message.txn_id) is not None:
+            if self.ctx(message.txn_id) is not None or \
+                    self.forgotten(message.txn_id):
                 # Duplicate delivery of the enrollment: the first copy
                 # already built the context (or the transaction is past
-                # it).  Re-enrolling would redo the local work and
-                # crash _new_context, so at-least-once links make this
-                # a pure no-op.
+                # it, here or altogether).  Re-enrolling would redo the
+                # local work and crash _new_context, so at-least-once
+                # links make this a pure no-op.
                 return
             spec: TransactionSpec = message.payload["spec"]
             participant: ParticipantSpec = message.payload["participant"]
@@ -429,6 +468,7 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         for context in self.contexts.values():
             context.cancel_timers()
         self.contexts.clear()
+        self._implied_ack_waiters.clear()
         self._deferred_outbox.clear()
         self.log.crash()
         for rm in self.all_rms():

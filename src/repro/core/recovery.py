@@ -22,7 +22,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.core.context import CommitContext
-from repro.core.decision import reports_from_payload, reports_to_payload
+from repro.core.decision import reports_to_payload
 from repro.core.states import TxnState
 from repro.log.records import LogRecord, LogRecordType
 from repro.net.message import Message, MessageType, Phase
@@ -224,12 +224,12 @@ class RecoveryMixin:
             else:
                 self.log_tm(context, LogRecordType.END,
                             payload={"outcome": outcome, "recovery": True})
-                self.transition(context, TxnState.FORGOTTEN)
+                self.forget(context)
             return
         # Subordinate: our coordinator may still be waiting for the ack
         # we might never have sent.  Resend it; it is idempotent.
         coordinator = outcome_rec.get("coordinator")
-        self.transition(context, TxnState.FORGOTTEN)
+        self.forget(context)
         if coordinator is not None and self._ack_needed_for(outcome):
             self.send(MessageType.RECOVERY_ACK, coordinator, txn_id,
                       payload={"reports": [], "outcome_pending": False},
@@ -372,7 +372,7 @@ class RecoveryMixin:
                               phase=Phase.RECOVERY)
                 self.log_tm(context, LogRecordType.END,
                             payload={"outcome": "abort", "recovery": True})
-                self.transition(context, TxnState.FORGOTTEN)
+                self.forget(context)
 
         self.log_tm(context, LogRecordType.ABORTED,
                     payload={"children": children, "role": "coordinator"},
@@ -477,13 +477,15 @@ class RecoveryMixin:
                   payload={"outcome": outcome}, phase=Phase.RECOVERY)
 
     def _outcome_from_log(self: "TMNode", txn_id: str) -> Optional[str]:
-        stable = self.log.stable
-        if stable.has_record(txn_id, LogRecordType.COMMITTED):
+        """What this node's log (hardened or still buffered) says
+        happened to a transaction it holds no context for."""
+        types = {r.record_type for r in self.log.records_for(txn_id)}
+        if LogRecordType.COMMITTED in types:
             return "commit"
-        if stable.has_record(txn_id, LogRecordType.ABORTED):
+        if LogRecordType.ABORTED in types:
             return "abort"
-        if stable.has_record(txn_id, LogRecordType.COMMIT_PENDING) or \
-                stable.has_record(txn_id, LogRecordType.COLLECTING):
+        if LogRecordType.COMMIT_PENDING in types or \
+                LogRecordType.COLLECTING in types:
             return "abort"  # initiation without a decision aborts
         return None
 
@@ -499,8 +501,7 @@ class RecoveryMixin:
         """OUTCOME received: inquiry reply or coordinator-driven push."""
         outcome = message.payload["outcome"]
         context = self.ctx(message.txn_id)
-        if context is None or context.state in (TxnState.FORGOTTEN,
-                                                TxnState.READ_ONLY_DONE):
+        if context is None or context.state is TxnState.FORGOTTEN:
             # We know nothing, already finished, or dropped out with a
             # read-only vote (outcome irrelevant to us): close the loop
             # so the coordinator can forget too.
@@ -612,8 +613,7 @@ class RecoveryMixin:
         context = self.ctx(message.txn_id)
         if context is None:
             return
-        context.reports.extend(
-            reports_from_payload(message.payload.get("reports", [])))
+        self._take_reports(context, message)
         context.acks_pending.discard(message.src)
         if not context.acks_pending and context.retry_timer is not None:
             context.retry_timer.cancel()

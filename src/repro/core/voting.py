@@ -69,6 +69,8 @@ class VotingMixin:
                 self._decide(context, "abort")
             return
         if context is None:
+            if self.forgotten(message.txn_id):
+                return  # late copy: this node voted and is long done
             # An inactive session partner swept into the protocol: it
             # did no work this transaction but cannot be left out.
             context = self._new_context(message.txn_id, parent=message.src)
@@ -261,12 +263,29 @@ class VotingMixin:
             if vote is Vote.YES and context.outcome == "abort":
                 context.contacted.add(message.src)
                 self.send(MessageType.ABORT, message.src, message.txn_id)
+            if context.state is TxnState.FORGOTTEN and \
+                    not context.votes_outstanding():
+                self._evict(context)   # that was the last late voter
             return
         self._check_votes(context)
 
     def _on_delegation(self: "TMNode", message: Message) -> None:
         """The coordinator handed us (the last agent) the decision."""
         context = self.ctx(message.txn_id)
+        if context is None and self.forgotten(message.txn_id):
+            # The delegation arrived after we finished with the
+            # transaction on our own (a unilateral abort it crossed on
+            # the wire).  The delegator is in doubt awaiting our
+            # decision, so answer like an inquiry: the log, else the
+            # presumption.
+            outcome = self._outcome_from_log(message.txn_id) \
+                or self._presumed_outcome()
+            self.note(message.txn_id,
+                      f"stale delegation from {message.src}; answers "
+                      f"{outcome}")
+            self.send(MessageType.COMMIT if outcome == "commit"
+                      else MessageType.ABORT, message.src, message.txn_id)
+            return
         if context is None:
             context = self._new_context(message.txn_id, parent=message.src)
             context.work_done = True
@@ -276,10 +295,9 @@ class VotingMixin:
             # start_voting would re-send the outcome flow.
             return
         elif context.outcome is not None or context.state in (
-                TxnState.ABORTING, TxnState.ABORTED, TxnState.FORGOTTEN):
-            # The delegation crossed our unilateral abort on the wire
-            # (or arrived after we forgot the transaction).  The
-            # delegator is in doubt awaiting our decision; dropping
+                TxnState.ABORTING, TxnState.ABORTED):
+            # The delegation crossed our unilateral abort on the wire.
+            # The delegator is in doubt awaiting our decision; dropping
             # the message would block it forever, so answer with the
             # outcome we already hold.
             outcome = context.outcome or "abort"
@@ -329,6 +347,9 @@ class VotingMixin:
                       flags={"unsolicited": context.unsolicited,
                              "ok_to_leave_out":
                              context.subtree_offers_leave_out()})
+            # Out of the protocol: no outcome is owed to a read-only
+            # voter, so there is nothing left to remember.
+            self._evict(context)
             return
         self._prepare_self_and_vote(context)
 

@@ -278,4 +278,12 @@ class LogManager:
         return self.stable.records() + list(self._buffer)
 
     def records_for(self, txn_id: str) -> List[LogRecord]:
-        return [r for r in self.all_records() if r.txn_id == txn_id]
+        return self.stable.records_for(txn_id) + [
+            r for r in self._buffer if r.txn_id == txn_id]
+
+    def remembers(self, txn_id: str) -> bool:
+        """Whether this log holds any record of the transaction — how a
+        node tells a late message about a transaction it has forgotten
+        from the first message of one it never saw."""
+        return self.stable.remembers(txn_id) or any(
+            r.txn_id == txn_id for r in self._buffer)

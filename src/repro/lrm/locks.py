@@ -10,7 +10,6 @@ locks are released relative to other participants' work.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Set
@@ -42,12 +41,11 @@ class LockRequest:
 class _KeyLock:
     """Lock state for a single key: granted set + FIFO wait queue."""
 
+    __slots__ = ("granted", "waiting")
+
     def __init__(self) -> None:
         self.granted: List[LockRequest] = []
         self.waiting: List[LockRequest] = []
-
-    def holders(self) -> Set[str]:
-        return {r.txn_id for r in self.granted}
 
     def grant_allowed(self, request: LockRequest) -> bool:
         for holder in self.granted:
@@ -59,7 +57,12 @@ class _KeyLock:
 
 
 class LockManager:
-    """Per-node lock table with waits-for-graph deadlock detection."""
+    """Per-node lock table with waits-for-graph deadlock detection.
+
+    Every structure here is proportional to the locks granted or
+    waited for *now*: a key's entry is deleted when its last holder
+    and waiter go, and lookups never create one.
+    """
 
     def __init__(self, simulator: Simulator,
                  metrics: Optional[MetricsCollector] = None,
@@ -67,8 +70,11 @@ class LockManager:
         self.simulator = simulator
         self.metrics = metrics
         self.name = name
-        self._table: Dict[str, _KeyLock] = defaultdict(_KeyLock)
-        self._held_by_txn: Dict[str, Set[str]] = defaultdict(set)
+        self._table: Dict[str, _KeyLock] = {}
+        self._held_by_txn: Dict[str, Set[str]] = {}
+        #: Keys each transaction is queued on (release_all scrubs
+        #: exactly these; the waits-for graph is read off them).
+        self._waiting_by_txn: Dict[str, Set[str]] = {}
         self._first_acquire_at: Dict[str, float] = {}
         self.deadlocks_detected = 0
         #: Trace hooks invoked with (txn_id, key, mode) when a lock is
@@ -97,7 +103,6 @@ class LockManager:
         Raises :class:`DeadlockError` synchronously if waiting would
         close a cycle in the waits-for graph.
         """
-        lock = self._table[key]
         held_mode = self._mode_held(txn_id, key)
 
         if held_mode is mode or held_mode is LockMode.EXCLUSIVE:
@@ -107,6 +112,9 @@ class LockManager:
 
         request = LockRequest(txn_id=txn_id, key=key, mode=mode,
                               on_granted=on_granted)
+        lock = self._table.get(key)
+        if lock is None:
+            lock = self._table[key] = _KeyLock()
 
         if held_mode is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
             self._upgrade(lock, request)
@@ -139,6 +147,7 @@ class LockManager:
                 self.metrics.record_deadlock(request.txn_id, cycle)
             raise DeadlockError(request.txn_id, cycle)
         lock.waiting.append(request)
+        self._waiting_by_txn.setdefault(request.txn_id, set()).add(request.key)
         if self.on_wait:
             for hook in self.on_wait:
                 hook(request.txn_id, request.key, request.mode)
@@ -146,7 +155,7 @@ class LockManager:
     def _grant(self, lock: _KeyLock, request: LockRequest) -> None:
         request.granted = True
         lock.granted.append(request)
-        self._held_by_txn[request.txn_id].add(request.key)
+        self._held_by_txn.setdefault(request.txn_id, set()).add(request.key)
         self._first_acquire_at.setdefault(request.txn_id, self.simulator.now)
         if self.on_grant:
             for hook in self.on_grant:
@@ -166,7 +175,13 @@ class LockManager:
         schedule differ *between processes* — caught by the journal
         differ comparing two CLI invocations of the same workload.
         """
-        keys = sorted(self._held_by_txn.pop(txn_id, set()))
+        # A victim may also be parked in wait queues; its own requests
+        # go first so a release below can never grant one of them.
+        for key in self._waiting_by_txn.pop(txn_id, ()):
+            lock = self._table[key]
+            lock.waiting = [r for r in lock.waiting if r.txn_id != txn_id]
+            self._drop_if_empty(key, lock)
+        keys = sorted(self._held_by_txn.pop(txn_id, ()))
         acquired_at = self._first_acquire_at.pop(txn_id, None)
         if acquired_at is not None and self.metrics is not None:
             self.metrics.record_lock_hold(self.simulator.now - acquired_at)
@@ -177,9 +192,21 @@ class LockManager:
                 for hook in self.on_release:
                     hook(txn_id, key)
             self._wake_waiters(lock)
-        # A victim may also be parked in wait queues — clear those too.
-        for lock in self._table.values():
-            lock.waiting = [r for r in lock.waiting if r.txn_id != txn_id]
+            self._drop_if_empty(key, lock)
+
+    def _drop_if_empty(self, key: str, lock: _KeyLock) -> None:
+        if not lock.granted and not lock.waiting:
+            del self._table[key]
+
+    def _no_longer_waiting(self, lock: _KeyLock,
+                           request: LockRequest) -> None:
+        """``request`` just left ``lock``'s queue."""
+        if any(r.txn_id == request.txn_id for r in lock.waiting):
+            return  # the transaction queued on this key twice (S then X)
+        waited = self._waiting_by_txn[request.txn_id]
+        waited.discard(request.key)
+        if not waited:
+            del self._waiting_by_txn[request.txn_id]
 
     def _wake_waiters(self, lock: _KeyLock) -> None:
         while lock.waiting:
@@ -192,6 +219,7 @@ class LockManager:
                 if others:
                     return
                 lock.waiting.pop(0)
+                self._no_longer_waiting(lock, head)
                 for granted in lock.granted:
                     if granted.txn_id == head.txn_id:
                         granted.mode = LockMode.EXCLUSIVE
@@ -201,6 +229,7 @@ class LockManager:
             if not lock.grant_allowed(head):
                 return
             lock.waiting.pop(0)
+            self._no_longer_waiting(lock, head)
             self._grant(lock, head)
 
     # ------------------------------------------------------------------
@@ -208,50 +237,51 @@ class LockManager:
     # ------------------------------------------------------------------
     def _would_deadlock(self, request: LockRequest,
                         lock: _KeyLock) -> Optional[List[str]]:
-        """Return the cycle (as txn ids) the new wait would close, if any."""
-        blockers = {r.txn_id for r in lock.granted
-                    if r.txn_id != request.txn_id}
-        blockers |= {r.txn_id for r in lock.waiting
-                     if r.txn_id != request.txn_id}
-        graph = self._waits_for_graph()
-        graph[request.txn_id] = blockers
+        """Return the cycle (as txn ids) the new wait would close, if any.
 
-        # DFS from the requester looking for a path back to it.
-        path: List[str] = []
-        visited: Set[str] = set()
+        Depth-first from the requester along waits-for edges, blockers
+        in sorted order, looking for a path back onto itself.  Edges
+        are read off the live wait queues as the search reaches a
+        transaction, so a blocked request costs what it can reach.
+        """
+        requester = request.txn_id
+        blockers = {r.txn_id for r in lock.granted}
+        blockers.update(r.txn_id for r in lock.waiting)
+        blockers.discard(requester)
+        path: List[str] = [requester]
+        visited: Set[str] = {requester}
+        pending = [iter(sorted(blockers))]
+        while pending:
+            for txn in pending[-1]:
+                if txn in path:
+                    return path[path.index(txn):] + [txn]
+                if txn not in visited:
+                    visited.add(txn)
+                    path.append(txn)
+                    pending.append(iter(sorted(self._blockers_of(txn))))
+                    break
+            else:
+                pending.pop()
+                path.pop()
+        return None
 
-        def dfs(txn: str) -> Optional[List[str]]:
-            if txn in path:
-                return path[path.index(txn):] + [txn]
-            if txn in visited:
-                return None
-            visited.add(txn)
-            path.append(txn)
-            for blocker in sorted(graph.get(txn, ())):
-                found = dfs(blocker)
-                if found is not None:
-                    return found
-            path.pop()
-            return None
-
-        cycle = dfs(request.txn_id)
-        return cycle
-
-    def _waits_for_graph(self) -> Dict[str, Set[str]]:
-        graph: Dict[str, Set[str]] = defaultdict(set)
-        for key, lock in self._table.items():
-            holders = lock.holders()
-            for waiter in lock.waiting:
-                graph[waiter.txn_id] |= holders - {waiter.txn_id}
-        return graph
+    def _blockers_of(self, txn_id: str) -> Set[str]:
+        """Holders of every key ``txn_id`` is queued on."""
+        blockers: Set[str] = set()
+        for key in self._waiting_by_txn.get(txn_id, ()):
+            blockers.update(r.txn_id for r in self._table[key].granted)
+        blockers.discard(txn_id)
+        return blockers
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def _mode_held(self, txn_id: str, key: str) -> Optional[LockMode]:
-        for request in self._table[key].granted:
-            if request.txn_id == txn_id:
-                return request.mode
+        lock = self._table.get(key)
+        if lock is not None:
+            for request in lock.granted:
+                if request.txn_id == txn_id:
+                    return request.mode
         return None
 
     def holds(self, txn_id: str, key: str,
@@ -262,10 +292,11 @@ class LockManager:
         return mode is None or held is mode
 
     def held_keys(self, txn_id: str) -> Set[str]:
-        return set(self._held_by_txn.get(txn_id, set()))
+        return set(self._held_by_txn.get(txn_id, ()))
 
     def waiting_count(self, key: str) -> int:
-        return len(self._table[key].waiting)
+        lock = self._table.get(key)
+        return len(lock.waiting) if lock is not None else 0
 
     def granted_count(self) -> int:
         """Granted lock entries across every key (table depth gauge)."""

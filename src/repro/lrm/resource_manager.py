@@ -41,12 +41,78 @@ class Vote(Enum):
     READ_ONLY = "read-only"
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxnState:
     has_updates: bool = False
     prepared: bool = False
     finished: bool = False
     keys_touched: Set[str] = field(default_factory=set)
+
+
+class _Work:
+    """One ``perform`` call in progress: operations run one at a time,
+    each under its lock.  A plain object whose bound methods are the
+    lock callbacks, so nothing refers back to itself and a finished
+    call is freed by reference count."""
+
+    __slots__ = ("rm", "txn_id", "state", "operations", "position",
+                 "epoch", "on_done", "on_error")
+
+    def __init__(self, rm: "ResourceManager", txn_id: str,
+                 state: _TxnState, operations: List[Operation],
+                 on_done: Callable[[], None],
+                 on_error: Optional[Callable[[Exception], None]]) -> None:
+        self.rm = rm
+        self.txn_id = txn_id
+        self.state = state
+        self.operations = tuple(operations)
+        self.position = 0
+        #: Callbacks scheduled before a crash (lock grants) must not
+        #: act after it.
+        self.epoch = rm.epoch
+        self.on_done = on_done
+        self.on_error = on_error
+
+    def run_next(self) -> None:
+        rm = self.rm
+        if rm.epoch != self.epoch:
+            return  # the RM crashed since this work was scheduled
+        if self.position == len(self.operations):
+            self.on_done()
+            return
+        operation = self.operations[self.position]
+        mode = LockMode.EXCLUSIVE if operation.is_update else LockMode.SHARED
+        try:
+            rm.locks.acquire(self.txn_id, operation.key, mode, self.apply)
+        except DeadlockError as error:
+            if self.on_error is None:
+                raise
+            self.on_error(error)
+
+    def apply(self) -> None:
+        rm = self.rm
+        if rm.epoch != self.epoch or self.state.finished:
+            # Crashed, or aborted while this grant was on its way: the
+            # locks are gone, so the operation must not touch the store.
+            return
+        txn_id = self.txn_id
+        operation = self.operations[self.position]
+        self.position += 1
+        self.state.keys_touched.add(operation.key)
+        if operation.is_update:
+            previous = rm.store.read(txn_id, operation.key)
+            rm.store.write(txn_id, operation.key, operation.value)
+            self.state.has_updates = True
+            # Data WAL record: never forced here; durability comes
+            # from the prepare-time force (WAL rule).
+            rm.log.write(txn_id, LogRecordType.LRM_UPDATE,
+                         payload={"rm": rm.name,
+                                  "key": operation.key,
+                                  "value": operation.value,
+                                  "previous": previous})
+        else:
+            rm.store.read(txn_id, operation.key)
+        self.run_next()
 
 
 class ResourceManager:
@@ -92,45 +158,7 @@ class ResourceManager:
             raise RuntimeError(
                 f"txn {txn_id} already prepared at {self.name}; "
                 f"no further work allowed")
-        remaining = list(operations)
-        epoch = self.epoch
-
-        def run_next() -> None:
-            if self.epoch != epoch:
-                return  # the RM crashed since this work was scheduled
-            if not remaining:
-                on_done()
-                return
-            operation = remaining.pop(0)
-            mode = LockMode.EXCLUSIVE if operation.is_update else LockMode.SHARED
-
-            def apply() -> None:
-                if self.epoch != epoch:
-                    return
-                state.keys_touched.add(operation.key)
-                if operation.is_update:
-                    previous = self.store.read(txn_id, operation.key)
-                    self.store.write(txn_id, operation.key, operation.value)
-                    state.has_updates = True
-                    # Data WAL record: never forced here; durability comes
-                    # from the prepare-time force (WAL rule).
-                    self.log.write(txn_id, LogRecordType.LRM_UPDATE,
-                                   payload={"rm": self.name,
-                                            "key": operation.key,
-                                            "value": operation.value,
-                                            "previous": previous})
-                else:
-                    self.store.read(txn_id, operation.key)
-                run_next()
-
-            try:
-                self.locks.acquire(txn_id, operation.key, mode, apply)
-            except DeadlockError as error:
-                if on_error is None:
-                    raise
-                on_error(error)
-
-        run_next()
+        _Work(self, txn_id, state, operations, on_done, on_error).run_next()
 
     # ------------------------------------------------------------------
     # 2PC participant hooks (invoked by the local transaction manager)
@@ -255,6 +283,15 @@ class ResourceManager:
         else:
             self.store.abort(txn_id)
         self.locks.release_all(txn_id)
+
+    def forget(self, txn_id: str) -> None:
+        """Drop what this RM remembers of a transaction whose local
+        commit or abort has finished (the TM calls this as it forgets
+        the transaction itself)."""
+        state = self._txns.get(txn_id)
+        if state is not None and state.finished:
+            del self._txns[txn_id]
+        self.veto_txns.discard(txn_id)
 
     # ------------------------------------------------------------------
     # Crash / recovery support

@@ -20,7 +20,7 @@ from repro.metrics.columns import FloatColumn, PairColumn
 from repro.metrics.counters import TaggedCounter
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionRecord:
     """Completion record for one transaction at its root coordinator."""
 
@@ -211,6 +211,15 @@ class MetricsCollector:
         self.heuristics.append(event)
         for hook in self.on_heuristic:
             hook(event)
+
+    def record_heuristic_report(self, node: str, txn: str,
+                                reported_to: str) -> None:
+        """``reported_to`` received the damage report of ``node``'s
+        heuristic decision on ``txn`` (how far reports travel is the
+        PN-vs-R* difference)."""
+        for event in self.heuristics:
+            if event.node == node and event.txn_id == txn:
+                event.reported_to.append(reported_to)
 
     def record_recovery(self, record: RecoveryRecord) -> None:
         self.recoveries.append(record)

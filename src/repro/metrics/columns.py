@@ -40,6 +40,21 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 _INITIAL_CAPACITY = 256
 
 
+def positions_of(column: array, value) -> List[int]:
+    """Every index of ``column`` holding ``value``, ascending (C-level
+    scans between hits)."""
+    find = column.index
+    positions: List[int] = []
+    start = 0
+    while True:
+        try:
+            start = find(value, start)
+        except ValueError:
+            return positions
+        positions.append(start)
+        start += 1
+
+
 class StringInterner:
     """Bidirectional string <-> small-int mapping.
 
@@ -61,6 +76,10 @@ class StringInterner:
             self._ids[value] = ident
             self._strings.append(value)
         return ident
+
+    def find(self, value: str) -> Optional[int]:
+        """The id ``value`` interned to, or None if it never was."""
+        return self._ids.get(value)
 
     def lookup(self, ident: int) -> Optional[str]:
         return None if ident < 0 else self._strings[ident]

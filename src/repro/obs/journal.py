@@ -454,11 +454,13 @@ class JournalRecorder:
     def __len__(self) -> int:
         return self._n
 
-    def entries(self) -> List[JournalEntry]:
-        """The journal as entry objects (materialized when columnar)."""
+    def entries(self, start: int = 0) -> List[JournalEntry]:
+        """The journal from entry ``start`` on, as entry objects
+        (materialized when columnar)."""
         if self._tape is not None:
-            return list(self._tape)
-        return list(self._entries)
+            return [self._tape[index]
+                    for index in range(start, len(self._tape))]
+        return self._entries[start:]
 
     def to_jsonl(self, meta: Optional[Dict[str, object]] = None) -> str:
         return journal_to_jsonl(self.entries(), meta=meta)

@@ -27,7 +27,7 @@ future TCP transport will serve on a metrics port.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.journal import (SETTLED_STATES, JournalEntry,
                                JournalRecorder)
@@ -112,13 +112,13 @@ class Watchdog:
             return []
         return self.scan(self._recorder.entries())
 
-    def entries(self) -> List[JournalEntry]:
-        return self._recorder.entries() if self._recorder else []
+    def entries(self, start: int = 0) -> List[JournalEntry]:
+        return self._recorder.entries(start) if self._recorder else []
 
     def record_external(self, finding: WatchdogFinding) -> None:
         """File a finding from outside the journal (e.g. the transport
         reporting a link whose reconnect loop gave up).  External
-        findings merge into every subsequent :meth:`scan`."""
+        findings merge into every subsequent scan."""
         if finding.detector not in DETECTORS:
             raise ValueError(f"unknown detector {finding.detector!r}")
         self._external.append(finding)
@@ -129,110 +129,124 @@ class Watchdog:
     def scan(self, entries: Sequence[JournalEntry],
              end_time: Optional[float] = None) -> List[WatchdogFinding]:
         """Run all four detectors; findings ordered by (at, detector)."""
-        entries = list(entries)
-        if end_time is None:
-            end_time = max((e.t for e in entries), default=0.0)
-        findings: List[WatchdogFinding] = []
-        findings += self._scan_in_doubt(entries, end_time)
-        findings += self._scan_lock_wait(entries, end_time)
-        findings += self._scan_orphans(entries, end_time)
-        findings += self._scan_unacked_forces(entries, end_time)
-        findings += self._external
-        findings.sort(key=lambda f: (f.at, DETECTORS.index(f.detector),
-                                     f.node, f.txn or ""))
-        return findings
+        scan = self.incremental()
+        scan.feed(entries)
+        return scan.findings(end_time)
 
-    def _scan_in_doubt(self, entries, end_time) -> List[WatchdogFinding]:
-        opened: Dict[Tuple[str, str], float] = {}
-        out: List[WatchdogFinding] = []
+    def incremental(self) -> "WatchdogScan":
+        """A scan that is fed the journal piece by piece (the admin
+        plane feeds it the new tail every few seconds)."""
+        return WatchdogScan(self)
+
+
+class WatchdogScan:
+    """The four detectors as a fold over journal entries.
+
+    Carries only what is still open — in-doubt windows, parked lock
+    requests, undelivered sends, unsettled last states, unhardened
+    forces — plus the findings already closed, so feeding the journal
+    in pieces costs the same as reading it once and gives the same
+    findings as one scan over the whole of it.
+    """
+
+    def __init__(self, watchdog: Watchdog) -> None:
+        self.watchdog = watchdog
+        self._closed: List[WatchdogFinding] = []
+        self._in_doubt: Dict[Tuple[str, str], float] = {}
+        self._waiting: Dict[Tuple[str, str, str], float] = {}
+        self._sends: Dict[int, JournalEntry] = {}
+        self._unsettled: Dict[Tuple[str, str], JournalEntry] = {}
+        self._forces: Dict[Tuple[str, int], JournalEntry] = {}
+        self._last_time = 0.0
+
+    def feed(self, entries: Iterable[JournalEntry]) -> None:
+        watchdog = self.watchdog
         for entry in entries:
-            if entry.kind != "transition" or entry.txn is None:
-                continue
-            key = (entry.txn, entry.node)
-            if entry.ref == _IN_DOUBT_STATE:
-                opened.setdefault(key, entry.t)
-            elif key in opened:
-                start = opened.pop(key)
-                residency = entry.t - start
-                if residency >= self.in_doubt_threshold:
-                    out.append(WatchdogFinding(
-                        "in_doubt", entry.txn, entry.node, entry.t,
-                        f"in-doubt for {residency:g} "
-                        f"(threshold {self.in_doubt_threshold:g})",
-                        residency))
-        for (txn, node), start in sorted(opened.items()):
+            if entry.t > self._last_time:
+                self._last_time = entry.t
+            kind = entry.kind
+            if kind == "transition":
+                if entry.txn is not None:
+                    self._transition(entry)
+            elif kind == "wait":
+                if entry.txn is not None and entry.ref is not None:
+                    self._waiting.setdefault(
+                        (entry.node, entry.txn, entry.ref), entry.t)
+            elif kind == "grant":
+                start = self._waiting.pop(
+                    (entry.node, entry.txn, entry.ref), None)
+                if start is not None and \
+                        entry.t - start >= watchdog.lock_wait_threshold:
+                    burn = entry.t - start
+                    self._closed.append(WatchdogFinding(
+                        "lock_wait", entry.txn, entry.node, entry.t,
+                        f"waited {burn:g} for lock {entry.ref!r} "
+                        f"(threshold {watchdog.lock_wait_threshold:g})",
+                        burn))
+            elif kind == "send":
+                self._sends[entry.eid] = entry
+            elif kind == "deliver":
+                for parent in entry.parents:
+                    self._sends.pop(parent, None)
+            elif kind == "write":
+                if entry.forced:
+                    self._forces[(entry.node, entry.lsn)] = entry
+            elif kind == "harden":
+                self._forces.pop((entry.node, entry.lsn), None)
+
+    def _transition(self, entry: JournalEntry) -> None:
+        key = (entry.txn, entry.node)
+        if entry.ref == _IN_DOUBT_STATE:
+            self._in_doubt.setdefault(key, entry.t)
+        elif key in self._in_doubt:
+            residency = entry.t - self._in_doubt.pop(key)
+            threshold = self.watchdog.in_doubt_threshold
+            if residency >= threshold:
+                self._closed.append(WatchdogFinding(
+                    "in_doubt", entry.txn, entry.node, entry.t,
+                    f"in-doubt for {residency:g} "
+                    f"(threshold {threshold:g})", residency))
+        # Only a span whose *last* state is unsettled is an orphan.
+        if entry.ref in SETTLED_STATES:
+            self._unsettled.pop(key, None)
+        else:
+            self._unsettled[key] = entry
+
+    def findings(self, end_time: Optional[float] = None
+                 ) -> List[WatchdogFinding]:
+        """Closed findings plus one for everything still open at
+        ``end_time`` (default: the newest entry fed so far)."""
+        if end_time is None:
+            end_time = self._last_time
+        out = list(self._closed)
+        for (txn, node), start in self._in_doubt.items():
             out.append(WatchdogFinding(
                 "in_doubt", txn, node, end_time,
                 f"still in doubt at journal end (since t={start:g})",
                 end_time - start))
-        return out
-
-    def _scan_lock_wait(self, entries, end_time) -> List[WatchdogFinding]:
-        waiting: Dict[Tuple[str, str, str], float] = {}
-        out: List[WatchdogFinding] = []
-        for entry in entries:
-            if entry.txn is None or entry.ref is None:
-                continue
-            key = (entry.node, entry.txn, entry.ref)
-            if entry.kind == "wait":
-                waiting.setdefault(key, entry.t)
-            elif entry.kind == "grant" and key in waiting:
-                start = waiting.pop(key)
-                burn = entry.t - start
-                if burn >= self.lock_wait_threshold:
-                    out.append(WatchdogFinding(
-                        "lock_wait", entry.txn, entry.node, entry.t,
-                        f"waited {burn:g} for lock {entry.ref!r} "
-                        f"(threshold {self.lock_wait_threshold:g})",
-                        burn))
-        for (node, txn, key), start in sorted(waiting.items()):
+        for (node, txn, key), start in self._waiting.items():
             out.append(WatchdogFinding(
                 "lock_wait", txn, node, end_time,
                 f"lock {key!r} never granted (waiting since "
                 f"t={start:g})", end_time - start))
-        return out
-
-    def _scan_orphans(self, entries, end_time) -> List[WatchdogFinding]:
-        out: List[WatchdogFinding] = []
-        sends: Dict[int, JournalEntry] = {
-            e.eid: e for e in entries if e.kind == "send"}
-        for entry in entries:
-            if entry.kind != "deliver":
-                continue
-            for parent in entry.parents:
-                sends.pop(parent, None)
-        for eid in sorted(sends):
-            send = sends[eid]
+        for send in self._sends.values():
             out.append(WatchdogFinding(
                 "orphan", send.txn, send.node, send.t,
                 f"{send.ref} to {send.peer} sent at t={send.t:g} "
                 "never delivered"))
-        last_state: Dict[Tuple[str, str], JournalEntry] = {}
-        for entry in entries:
-            if entry.kind == "transition" and entry.txn is not None:
-                last_state[(entry.txn, entry.node)] = entry
-        for (txn, node), entry in sorted(last_state.items()):
-            if entry.ref not in SETTLED_STATES:
-                out.append(WatchdogFinding(
-                    "orphan", txn, node, end_time,
-                    f"span left open: last state {entry.ref!r} "
-                    f"at t={entry.t:g}"))
-        return out
-
-    def _scan_unacked_forces(self, entries, end_time
-                             ) -> List[WatchdogFinding]:
-        pending: Dict[Tuple[str, int], JournalEntry] = {}
-        for entry in entries:
-            if entry.kind == "write" and entry.forced:
-                pending[(entry.node, entry.lsn)] = entry
-            elif entry.kind == "harden":
-                pending.pop((entry.node, entry.lsn), None)
-        out: List[WatchdogFinding] = []
-        for (node, lsn), write in sorted(pending.items()):
+        for (txn, node), entry in self._unsettled.items():
+            out.append(WatchdogFinding(
+                "orphan", txn, node, end_time,
+                f"span left open: last state {entry.ref!r} "
+                f"at t={entry.t:g}"))
+        for (node, lsn), write in self._forces.items():
             out.append(WatchdogFinding(
                 "unacked_force", write.txn, node, end_time,
                 f"forced {write.ref} (lsn {lsn}) written at "
                 f"t={write.t:g} never hardened"))
+        out += self.watchdog._external
+        out.sort(key=lambda f: (f.at, DETECTORS.index(f.detector),
+                                f.node, f.txn or "", f.message))
         return out
 
 

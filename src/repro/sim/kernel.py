@@ -368,7 +368,7 @@ class Simulator:
                             f"protocol livelock (clock at {self.now})")
                     continue
                 queue._ri = ri
-                queue._done += fired + dead
+                queue._done += fired
                 queue._dead -= dead
                 self.events_processed += fired
                 limit -= fired
@@ -381,7 +381,7 @@ class Simulator:
                 n = len(run)
         finally:
             queue._ri = ri
-            queue._done += fired + dead
+            queue._done += fired
             queue._dead -= dead
             self.events_processed += fired
 
@@ -516,7 +516,7 @@ class Simulator:
                             f"(clock at {self.now})")
                     continue
                 queue._ri = ri
-                queue._done += fired + dead
+                queue._done += fired
                 queue._dead -= dead
                 self.events_processed += fired
                 limit -= fired
@@ -529,7 +529,7 @@ class Simulator:
                 n = len(run)
         finally:
             queue._ri = ri
-            queue._done += fired + dead
+            queue._done += fired
             queue._dead -= dead
             self.events_processed += fired
         if until > self.now:

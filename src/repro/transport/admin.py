@@ -24,8 +24,10 @@ route          body
 
 The PR 7 watchdog detectors run *continuously* here: a recurring
 :meth:`LiveClock.timer` (deliberately untracked, so it never blocks
-quiescence) rescans the journal every ``watchdog_interval`` seconds
-and publishes per-detector finding counts as registry gauges.
+quiescence) feeds the journal entries recorded since the last tick to
+an incremental scan every ``watchdog_interval`` seconds and publishes
+per-detector finding counts as registry gauges — a tick costs what the
+last interval recorded, however long the server has been up.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ class AdminServer:
         self._timer = None
         self._started_at = 0.0
         self._findings_gauge = None
+        #: The journal fold the ticks feed, and how far they have read.
+        self._scan = watchdog.incremental() if watchdog is not None else None
+        self._cursor = 0
         if registry is not None:
             self._findings_gauge = registry.gauge(
                 "watchdog_findings", "Current watchdog findings, by "
@@ -108,12 +113,13 @@ class AdminServer:
     def _scan_now(self) -> List:
         if self.watchdog is None:
             return []
-        if self.recorder is not None:
-            entries = self.recorder.entries()
-        else:
-            entries = self.watchdog.entries()
-        self.findings = self.watchdog.scan(
-            entries, end_time=self.cluster.simulator.now)
+        source = self.recorder if self.recorder is not None \
+            else self.watchdog
+        tail = source.entries(self._cursor)
+        self._cursor += len(tail)
+        self._scan.feed(tail)
+        self.findings = self._scan.findings(
+            end_time=self.cluster.simulator.now)
         if self._findings_gauge is not None:
             from repro.obs.watchdog import DETECTORS
             counts = {name: 0 for name in DETECTORS}

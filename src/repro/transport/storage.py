@@ -153,13 +153,10 @@ class FileStableStorage(StableStorage):
         False (and leaves the file alone) when no checkpoint is
         durable yet.
         """
-        checkpoint_at = None
-        for index, record in enumerate(self._records):
-            if record.record_type is LogRecordType.CHECKPOINT:
-                checkpoint_at = index
-        if checkpoint_at is None or checkpoint_at == 0:
+        checkpoint_at = self.last_position_of(LogRecordType.CHECKPOINT)
+        if not checkpoint_at:
             return False
-        kept = self._records[checkpoint_at:]
+        kept = self.records(checkpoint_at)
         tmp_path = self.path + ".compact"
         with open(tmp_path, "wb") as tmp:
             tmp.write(_encode(kept))
@@ -176,7 +173,7 @@ class FileStableStorage(StableStorage):
             finally:
                 os.close(dir_fd)
             self.maintenance_fsyncs += 2
-        self._records = kept
+        self.truncate_before(checkpoint_at)
         self._fh = open(self.path, "ab")
         return True
 

@@ -154,6 +154,9 @@ class TortureCell:
     outcomes: Dict[str, str] = field(default_factory=dict)
     restarts: List[dict] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
+    #: The cell's flight-recorder journal (crash, restart and recovery
+    #: included); kept off ``to_dict`` — the report stays small.
+    journal: list = field(default_factory=list, repr=False)
 
     def describe(self) -> str:
         label = f"{self.protocol}/{self.site}"
@@ -294,7 +297,7 @@ async def _run_cell(protocol: str, site: str, seed: int, txns: int,
         crashes=sum(n.crash_count for n in cluster.nodes.values()),
         outcomes=outcomes,
         restarts=[info.to_dict() for info in injector.restarts],
-        problems=problems)
+        problems=problems, journal=recorder.entries())
 
 
 def run_torture_cell(protocol: str, site: str, seed: int = 17,

@@ -11,7 +11,6 @@ from repro.core.checkpoint import (
 from repro.core.cluster import Cluster
 from repro.core.config import PRESUMED_ABORT
 from repro.core.spec import flat_tree
-from repro.core.states import TxnState
 from repro.log.records import LogRecord, LogRecordType
 from repro.lrm.operations import write_op
 
@@ -125,7 +124,7 @@ def test_in_doubt_across_checkpoint_resolves():
     cluster.restart_at("s", 20.0)
     cluster.run_until(300.0)
     assert cluster.value("s", "key-s") == 1
-    assert cluster.node("s").ctx(spec.txn_id).state is TxnState.FORGOTTEN
+    assert cluster.node("s").ctx(spec.txn_id) is None    # resolved, forgotten
 
 
 def test_in_doubt_across_checkpoint_aborts_cleanly():

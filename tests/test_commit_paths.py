@@ -79,10 +79,16 @@ def test_single_node_transaction_commits():
 def test_contexts_reach_terminal_states():
     cluster = Cluster(PRESUMED_ABORT, nodes=["coord", "sub"])
     spec = updating_spec("coord", ["sub"])
+    states = []
+    for name in ("coord", "sub"):
+        cluster.node(name).on_transition.append(
+            lambda node, txn, old, new: states.append((node, new)))
     cluster.run_transaction(spec)
     for name in ("coord", "sub"):
-        context = cluster.node(name).ctx(spec.txn_id)
-        assert context.state is TxnState.FORGOTTEN
+        # Forgotten means absent: the last state seen was FORGOTTEN and
+        # the node holds no context for the transaction any more.
+        assert [s for n, s in states if n == name][-1] is TxnState.FORGOTTEN
+        assert cluster.node(name).ctx(spec.txn_id) is None
 
 
 def test_handle_latency_positive():

@@ -9,7 +9,6 @@ from repro.core.config import (
     PRESUMED_NOTHING,
 )
 from repro.core.spec import chain_tree
-from repro.core.states import TxnState
 from repro.lrm.operations import write_op
 
 from tests.conftest import updating_spec
@@ -102,6 +101,9 @@ def test_pn_reports_damage_to_root():
     assert handle.committed
     assert handle.heuristic_mixed
     assert [r.node for r in handle.heuristic_reports] == ["leaf"]
+    # ... having travelled the whole chain (PN forwards reports upward).
+    assert cluster.metrics.damaged_heuristics()[0].reported_to == \
+        ["mid", "root"]
 
 
 def test_pa_reports_only_to_immediate_coordinator():
@@ -121,8 +123,8 @@ def test_pa_reports_only_to_immediate_coordinator():
     damaged = cluster.metrics.damaged_heuristics()
     assert len(damaged) == 1                  # but the damage is real
     # The immediate coordinator (mid) did receive the report.
-    mid_ctx = cluster.node("mid").ctx(spec.txn_id)
-    assert any(r.node == "leaf" for r in mid_ctx.reports)
+    assert damaged[0].node == "leaf"
+    assert damaged[0].reported_to == ["mid"]
 
 
 def test_heuristic_survives_crash():
@@ -140,7 +142,7 @@ def test_heuristic_survives_crash():
     cluster.run_until(400.0)
     damaged = cluster.metrics.damaged_heuristics()
     assert len(damaged) == 1
-    assert cluster.node("s").ctx(spec.txn_id).state is TxnState.FORGOTTEN
+    assert cluster.node("s").ctx(spec.txn_id) is None    # resolved, forgotten
     del handle
 
 

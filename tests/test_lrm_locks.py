@@ -243,3 +243,25 @@ class TestLockHooks:
         simulator.run()
         assert locks.granted_count() == 1  # t3 woke up on "a"
         assert locks.total_waiting() == 0
+
+
+def test_lock_table_holds_only_live_locks(locks, simulator):
+    """Keys leave the table with their last holder and waiter, lookups
+    never create them, and a transaction queued twice on one key stays
+    in the waited-key map until both requests are gone (hypothesis once
+    found the second grant tripping over the first one's clean-up)."""
+    assert locks.waiting_count("never-touched") == 0
+    assert not locks.holds("t0", "never-touched")
+    assert locks._table == {}
+    locks.acquire("t0", "k", LockMode.SHARED, lambda: None)
+    locks.acquire("t1", "k", LockMode.EXCLUSIVE, lambda: None)
+    locks.acquire("t1", "k", LockMode.SHARED, lambda: None)   # queued too
+    assert locks._waiting_by_txn == {"t1": {"k"}}
+    locks.release_all("t0")
+    simulator.run()
+    assert locks.holds("t1", "k", LockMode.EXCLUSIVE)
+    assert locks._waiting_by_txn == {}
+    locks.release_all("t1")
+    assert locks._table == {} and locks._held_by_txn == {}
+    assert locks._first_acquire_at == {}
+    assert locks.granted_count() == locks.total_waiting() == 0

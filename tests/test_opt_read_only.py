@@ -72,10 +72,15 @@ def test_reader_does_not_learn_outcome():
     the transaction committed."""
     cluster = Cluster(PRESUMED_ABORT, nodes=["c", "u", "r"])
     spec = spec_with_readers("c", ["u"], ["r"])
+    states = []
+    cluster.node("r").on_transition.append(
+        lambda node, txn, old, new: states.append(new))
     cluster.run_transaction(spec)
-    context = cluster.node("r").ctx(spec.txn_id)
-    assert context.state is TxnState.READ_ONLY_DONE
-    assert context.outcome is None
+    assert states[-1] is TxnState.READ_ONLY_DONE
+    # Out of the protocol at its vote: no context left to hold an
+    # outcome, and none on its log.
+    assert cluster.node("r").ctx(spec.txn_id) is None
+    assert cluster.recorded_outcome("r", spec.txn_id) is None
 
 
 def test_cascaded_votes_read_only_only_if_whole_subtree_is():
@@ -87,9 +92,12 @@ def test_cascaded_votes_read_only_only_if_whole_subtree_is():
         ParticipantSpec(node="root", ops=[write_op("k", 1)]),
         ParticipantSpec(node="mid", parent="root", ops=[read_op("a")]),
         ParticipantSpec(node="leaf", parent="mid", ops=[read_op("b")])])
+    mid_states = []
+    cluster.node("mid").on_transition.append(
+        lambda node, txn, old, new: mid_states.append(new))
     cluster.run_transaction(spec)
-    assert cluster.node("mid").ctx(spec.txn_id).state \
-        is TxnState.READ_ONLY_DONE
+    assert mid_states[-1] is TxnState.READ_ONLY_DONE
+    assert cluster.node("mid").ctx(spec.txn_id) is None
     assert cluster.metrics.total_log_writes(node="mid",
                                             txn=spec.txn_id) == 0
 
@@ -100,9 +108,13 @@ def test_cascaded_votes_read_only_only_if_whole_subtree_is():
         ParticipantSpec(node="mid", parent="root", ops=[read_op("a")]),
         ParticipantSpec(node="leaf", parent="mid",
                         ops=[write_op("b", 2)])])
+    mid_states = []
+    cluster2.node("mid").on_transition.append(
+        lambda node, txn, old, new: mid_states.append(new))
     cluster2.run_transaction(spec2)
-    assert cluster2.node("mid").ctx(spec2.txn_id).state \
-        is TxnState.FORGOTTEN
+    assert TxnState.PREPARED in mid_states
+    assert mid_states[-1] is TxnState.FORGOTTEN
+    assert cluster2.node("mid").ctx(spec2.txn_id) is None
     assert cluster2.metrics.forced_log_writes(node="mid",
                                               txn=spec2.txn_id) == 2
 

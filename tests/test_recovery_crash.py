@@ -14,7 +14,6 @@ from repro.core.config import (
     PRESUMED_COMMIT,
     PRESUMED_NOTHING,
 )
-from repro.core.states import TxnState
 from repro.errors import ProtocolError
 
 from tests.conftest import updating_spec
@@ -54,8 +53,7 @@ class TestSubordinateCrash:
         cluster.run_until(300.0)
         assert handle.committed
         assert cluster.value("s", "key-s") == 1
-        assert cluster.node("s").ctx(spec.txn_id).state \
-            is TxnState.FORGOTTEN
+        assert cluster.node("s").ctx(spec.txn_id) is None   # forgotten
 
     def test_in_doubt_crash_pn_coordinator_drives(self):
         """PN: the restarted subordinate waits; the coordinator's
@@ -123,8 +121,7 @@ class TestCoordinatorCrash:
         cluster.start_transaction(spec)
         cluster.run_until(300.0)
         assert cluster.value("s", "key-s") is None
-        assert cluster.node("s").ctx(spec.txn_id).state \
-            is TxnState.FORGOTTEN
+        assert cluster.node("s").ctx(spec.txn_id) is None   # forgotten
 
     def test_pn_crash_after_commit_pending_aborts_everywhere(self):
         """PN: commit-pending with no decision means the restarted

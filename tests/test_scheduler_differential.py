@@ -81,6 +81,7 @@ def _workload_fingerprint(config, queue_class, seed=11, txns=10):
 
     return {
         "queue": type(cluster.simulator._queue).__name__,
+        "pending": len(cluster.simulator._queue),
         "outcomes": outcomes,
         "verdicts": [norm(str(v)) for v in checker.violations],
         "costs": [ledger.cost_summary(txn) for txn in txn_ids],
@@ -100,8 +101,43 @@ def test_protocol_run_identical_on_heap_and_wheel(protocol, default_queue):
     heap = _workload_fingerprint(config, HeapEventQueue)
     assert wheel["queue"] == "WheelEventQueue"
     assert heap["queue"] == "HeapEventQueue"
+    # Every run_transaction drained the queue: nothing is pending, and
+    # in particular the count has not gone negative (the fused drains
+    # once counted each cancelled entry done twice).
+    assert wheel["pending"] == heap["pending"] == 0
     for key in ("outcomes", "verdicts", "costs", "trace", "metrics"):
         assert wheel[key] == heap[key], f"{protocol}: {key} diverged"
+
+
+def _group_commit_run(queue_class, txns=60):
+    """Overlapping transactions under group commit: every batch that
+    fills cancels its group timer from inside an event."""
+    from repro.log.group_commit import GroupCommitPolicy
+    Simulator.default_queue_class = queue_class
+    config = PRESUMED_NOTHING.with_options(
+        group_commit=GroupCommitPolicy(group_size=3, timeout=2.0))
+    cluster = Cluster(config, nodes=["n0", "n1", "n2"], seed=5)
+    handles = []
+    for index in range(txns):
+        spec = flat_tree("n0", ["n1", "n2"], txn_id=f"gc-{index}")
+        for participant in spec.participants:
+            participant.ops.append(
+                write_op(f"{participant.node}-{index}", index))
+        cluster.simulator.at(
+            0.4 * index, lambda spec=spec: handles.append(
+                cluster.start_transaction(spec)))
+    cluster.run()
+    simulator = cluster.simulator
+    return ([handle.outcome for handle in handles], simulator.now,
+            simulator.events_processed, len(simulator._queue),
+            simulator.pending_events)
+
+
+def test_drained_group_commit_run_leaves_empty_queue(default_queue):
+    wheel = _group_commit_run(WheelEventQueue)
+    assert wheel == _group_commit_run(HeapEventQueue)
+    assert set(wheel[0]) == {"commit"}
+    assert wheel[3] == 0 and wheel[4] == 0
 
 
 def _crash_fingerprint(queue_class):

@@ -180,3 +180,32 @@ def test_mid_run_compaction_keeps_dead_count_exact():
     sim.schedule(9.0, lambda: None)
     sim.run()
     assert queue._dead == 0
+
+
+def test_cancel_from_inside_an_event_is_counted_once():
+    """A cancel issued by a running event was counted done by the queue
+    and again by the fused drain: the length went negative
+    (``ValueError: __len__() should return >= 0``) and the compaction
+    trigger read the same wrong number."""
+    simulator = Simulator(seed=0)
+    timers = {}
+    simulator.schedule(1.0, lambda: timers.update(
+        x=simulator.timer(0.5, lambda: None)))
+    simulator.schedule(1.2, lambda: (
+        timers["x"].cancel(),
+        timers.update(seen=simulator.pending_events)))
+    simulator.run()
+    assert timers["seen"] >= 0
+    assert len(simulator._queue) == 0
+    assert simulator.pending_events == 0
+    assert simulator._queue._dead == 0
+
+    # The same through run_until, with the cancelled timer far enough
+    # out to sit in another wheel day.
+    simulator.schedule(1.0, lambda: timers.update(
+        y=simulator.timer(5000.0, lambda: None)))
+    simulator.schedule(2.0, lambda: timers["y"].cancel())
+    simulator.run_until(simulator.now + 10.0)
+    assert simulator.pending_events == 0
+    simulator.run()
+    assert len(simulator._queue) == 0

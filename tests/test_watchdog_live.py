@@ -143,3 +143,141 @@ def test_stacked_instruments_all_observe():
     assert len(watchdog.entries()) == len(recorder)
     for instrument in (tracer, ledger, recorder, registry, watchdog):
         instrument.detach()
+
+
+# ----------------------------------------------------------------------
+# Incremental scan == full rescan
+# ----------------------------------------------------------------------
+def full_rescan(watchdog, entries, end_time=None):
+    """The four detectors written as whole-journal passes (the shape
+    they had before the admin plane fed them a tail at a time): the
+    reference the incremental fold must agree with."""
+    from repro.obs.journal import SETTLED_STATES
+    from repro.obs.watchdog import DETECTORS
+    if end_time is None:
+        end_time = max((e.t for e in entries), default=0.0)
+    out = []
+    opened = {}
+    for e in entries:
+        if e.kind != "transition" or e.txn is None:
+            continue
+        key = (e.txn, e.node)
+        if e.ref == "prepared":
+            opened.setdefault(key, e.t)
+        elif key in opened:
+            residency = e.t - opened.pop(key)
+            if residency >= watchdog.in_doubt_threshold:
+                out.append(("in_doubt", e.txn, e.node, e.t, residency))
+    out += [("in_doubt", txn, node, end_time, end_time - start)
+            for (txn, node), start in opened.items()]
+    waiting = {}
+    for e in entries:
+        if e.txn is None or e.ref is None:
+            continue
+        key = (e.node, e.txn, e.ref)
+        if e.kind == "wait":
+            waiting.setdefault(key, e.t)
+        elif e.kind == "grant" and key in waiting:
+            burn = e.t - waiting.pop(key)
+            if burn >= watchdog.lock_wait_threshold:
+                out.append(("lock_wait", e.txn, e.node, e.t, burn))
+    out += [("lock_wait", txn, node, end_time, end_time - start)
+            for (node, txn, _key), start in waiting.items()]
+    delivered = {p for e in entries if e.kind == "deliver"
+                 for p in e.parents}
+    out += [("orphan", e.txn, e.node, e.t, None) for e in entries
+            if e.kind == "send" and e.eid not in delivered]
+    last = {(e.txn, e.node): e for e in entries
+            if e.kind == "transition" and e.txn is not None}
+    out += [("orphan", txn, node, end_time, None)
+            for (txn, node), e in last.items()
+            if e.ref not in SETTLED_STATES]
+    hardened = {(e.node, e.lsn) for e in entries if e.kind == "harden"}
+    out += [("unacked_force", e.txn, e.node, end_time, None)
+            for e in entries if e.kind == "write" and e.forced
+            and (e.node, e.lsn) not in hardened]
+    return sorted(out, key=lambda row: (row[3], DETECTORS.index(row[0]),
+                                        row[2], row[1] or ""))
+
+
+def as_rows(findings):
+    return [(f.detector, f.txn, f.node, f.at,
+             f.value if f.detector in ("in_doubt", "lock_wait") else None)
+            for f in findings]
+
+
+def fed_in_pieces(watchdog, entries, sizes, end_time=None):
+    scan = watchdog.incremental()
+    position = 0
+    for size in itertools.cycle(sizes):
+        if position >= len(entries):
+            break
+        scan.feed(entries[position:position + size])
+        position += size
+    return scan.findings(end_time)
+
+
+def assert_incremental_matches(entries):
+    watchdog = Watchdog(in_doubt_threshold=0.0, lock_wait_threshold=0.0)
+    expected = full_rescan(watchdog, entries)
+    assert as_rows(watchdog.scan(entries)) == expected
+    for sizes in ([1], [7], [1, 64, 3]):
+        assert as_rows(fed_in_pieces(watchdog, entries, sizes)) == expected
+    # Mid-journal: what is open at the cut is reported as open.
+    cut = entries[:len(entries) // 2]
+    assert as_rows(fed_in_pieces(watchdog, cut, [5])) == \
+        full_rescan(watchdog, cut)
+
+
+class TestIncrementalScan:
+    def test_seeded_mutation_journal(self):
+        """Deliveries, grants, hardenings and settlements deleted at
+        seeded positions leave every detector something open."""
+        from repro.sim.randomness import RandomStream
+        from tests.test_journal import record_contended_run
+        entries, __ = record_contended_run()
+        rng = RandomStream(1234)
+        mutated = [e for e in entries
+                   if not (e.kind in ("deliver", "grant", "harden",
+                                      "transition") and rng.chance(0.2))]
+        assert len(mutated) < len(entries)
+        detectors = {row[0] for row in full_rescan(
+            Watchdog(in_doubt_threshold=0.0, lock_wait_threshold=0.0),
+            mutated)}
+        assert {"in_doubt", "lock_wait", "orphan",
+                "unacked_force"} <= detectors
+        assert_incremental_matches(mutated)
+
+    @pytest.mark.live
+    @pytest.mark.parametrize("site", ["coord-post-decision",
+                                      "sub-post-vote"])
+    def test_live_torture_journals(self, site):
+        """A journal with a kill, a WAL restart and recovery traffic."""
+        from repro.transport import run_torture_cell
+        cell = run_torture_cell("presumed_abort", site)
+        assert cell.ok, cell.problems
+        assert cell.journal
+        assert_incremental_matches(cell.journal)
+
+    def test_admin_tick_reads_only_the_tail(self):
+        """The admin plane's recurring scan consumes the journal past a
+        cursor (a columnar recorder materialises just that tail)."""
+        from repro.transport.admin import AdminServer
+        cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
+        recorder = JournalRecorder(columnar=True).attach(cluster)
+        admin = AdminServer(cluster, recorder=recorder,
+                            watchdog=Watchdog(in_doubt_threshold=0.0))
+        reads = []
+        entries = recorder.entries
+        recorder.entries = lambda start=0: (reads.append(start),
+                                            entries(start))[1]
+        for index in range(3):
+            cluster.run_transaction(
+                updating_spec("c", ["s"], txn_id=f"tick-{index}"))
+            found = admin._scan_now()
+            assert as_rows(found) == as_rows(
+                Watchdog(in_doubt_threshold=0.0).scan(
+                    entries(), end_time=cluster.simulator.now))
+        # Three ticks, each starting where the one before stopped.
+        assert reads[0] == 0 and reads == sorted(set(reads))
+        assert admin._cursor == len(recorder)
