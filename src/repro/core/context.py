@@ -56,6 +56,9 @@ class CommitContext:
         self.left_out: List[str] = []
         #: Child designated as last agent (decision delegate), if any.
         self.last_agent_child: Optional[str] = None
+        #: partner -> this transaction's number on my session with it
+        #: (TMNode.session_seq).
+        self.session_seq: Dict[str, int] = {}
         #: Parent that delegated the commit decision to this node.
         self.delegated_from: Optional[str] = None
         #: The delegator voted read-only (no outcome record needed there).

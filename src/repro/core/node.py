@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.config import ProtocolConfig
 from repro.core.context import CommitContext
@@ -48,11 +48,51 @@ class Session:
 
     ``leavable`` records the protected OK-TO-LEAVE-OUT promise from the
     partner's last successful commit: it may be excluded from future
-    transactions in which no data is exchanged with it.
+    transactions in which no data is exchanged with it.  ``opened``
+    counts the transactions I have brought to the partner: the number
+    rides (as ``session_seq``) on every message that can start one
+    there, so the partner can tell a late copy from a new transaction
+    (see :class:`Arrivals`).
     """
 
     partner: str
     leavable: bool = False
+    opened: int = 0
+
+
+class Arrivals:
+    """Which of one partner's transactions have already started here.
+
+    The partner numbers them per session (``Session.opened``).  Once a
+    transaction is forgotten its context is gone, and a node that never
+    logged for it (a read-only voter, a Presumed Abort participant that
+    refused) has no other trace of it; the number is what still tells a
+    late copy of its enrollment or prepare from a new transaction.
+    Numbers up to ``floor`` have all been seen; ``above`` holds the
+    seen ones past a gap (a start still on the wire, or lost).  A gap
+    more than ``WINDOW`` starts old is given up on, and whatever would
+    have filled it counts as late: the state is bounded however long
+    the session lives.
+    """
+
+    __slots__ = ("floor", "above")
+    WINDOW = 256
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.above: Set[int] = set()
+
+    def first_sight(self, seq: int) -> bool:
+        """Record ``seq``; False if it was seen (or given up on)."""
+        if seq <= self.floor or seq in self.above:
+            return False
+        self.above.add(seq)
+        if len(self.above) > self.WINDOW:
+            self.floor = min(self.above) - 1
+        while self.floor + 1 in self.above:
+            self.floor += 1
+            self.above.remove(self.floor)
+        return True
 
 
 class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
@@ -82,6 +122,8 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         #: partner whose next message is that acknowledgment.
         self._implied_ack_waiters: Dict[str, List[CommitContext]] = {}
         self.sessions: Dict[str, Session] = {}
+        #: Transactions each partner has started here (volatile).
+        self._arrivals: Dict[str, Arrivals] = {}
         self._deferred_outbox: Dict[str, List[Message]] = {}
         self._handlers: Dict[MessageType, Callable[[Message], None]] = {
             MessageType.DATA: self.on_data,
@@ -220,11 +262,30 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         for rm in self.all_rms():
             rm.forget(context.txn_id)
 
-    def forgotten(self, txn_id: str) -> bool:
-        """No context, but the log has records of the transaction: a
-        message that would *start* it here (enrollment, a prepare or a
-        delegation to a partner without work) is a late copy."""
-        return txn_id not in self.contexts and self.log.remembers(txn_id)
+    def session_seq(self, context: CommitContext, partner: str) -> int:
+        """This transaction's number on my session with ``partner``,
+        allotted the first time I bring the transaction to it."""
+        seq = context.session_seq.get(partner)
+        if seq is None:
+            session = self.sessions[partner]
+            session.opened += 1
+            seq = context.session_seq[partner] = session.opened
+        return seq
+
+    def late_copy(self, message: Message) -> bool:
+        """Whether a message that finds no context, and would *start*
+        its transaction here (an enrollment, a prepare or a delegation
+        to a partner without work), belongs to one this node is already
+        done with.  Two memories answer: the session's count of what
+        the sender has started here, and the log."""
+        seq = message.payload.get("session_seq")
+        if seq is not None:
+            arrivals = self._arrivals.get(message.src)
+            if arrivals is None:
+                arrivals = self._arrivals[message.src] = Arrivals()
+            if not arrivals.first_sight(seq):
+                return True
+        return self.log.remembers(message.txn_id)
 
     def context_live(self, context: CommitContext) -> bool:
         """True unless a crash wiped this context.  Timer callbacks
@@ -340,7 +401,9 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             self.sessions.setdefault(child.node, Session(partner=child.node))
             self.send(MessageType.DATA, child.node, spec.txn_id,
                       flags={"enroll": True},
-                      payload={"spec": spec, "participant": child})
+                      payload={"spec": spec, "participant": child,
+                               "session_seq":
+                                   self.session_seq(context, child.node)})
         if parent is not None and self.config.work_timeout is not None:
             # A participant may abort unilaterally any time before it
             # votes YES; if the coordinator dies before commit begins,
@@ -424,12 +487,12 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
     def on_data(self, message: Message) -> None:
         if message.flag("enroll"):
             if self.ctx(message.txn_id) is not None or \
-                    self.forgotten(message.txn_id):
+                    self.late_copy(message):
                 # Duplicate delivery of the enrollment: the first copy
-                # already built the context (or the transaction is past
-                # it, here or altogether).  Re-enrolling would redo the
-                # local work and crash _new_context, so at-least-once
-                # links make this a pure no-op.
+                # already built the context, or the transaction is done
+                # here and forgotten.  Re-enrolling would redo the local
+                # work (and take locks nothing would release), so it is
+                # dropped: no context, no lock, no record, no flow.
                 return
             spec: TransactionSpec = message.payload["spec"]
             participant: ParticipantSpec = message.payload["participant"]
@@ -469,6 +532,7 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             context.cancel_timers()
         self.contexts.clear()
         self._implied_ack_waiters.clear()
+        self._arrivals.clear()
         self._deferred_outbox.clear()
         self.log.crash()
         for rm in self.all_rms():

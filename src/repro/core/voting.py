@@ -69,8 +69,8 @@ class VotingMixin:
                 self._decide(context, "abort")
             return
         if context is None:
-            if self.forgotten(message.txn_id):
-                return  # late copy: this node voted and is long done
+            if self.late_copy(message):
+                return  # this node voted (or refused) and is long done
             # An inactive session partner swept into the protocol: it
             # did no work this transaction but cannot be left out.
             context = self._new_context(message.txn_id, parent=message.src)
@@ -179,7 +179,9 @@ class VotingMixin:
             if child_long_locks:
                 context.long_locks_children.add(child)
             self.send(MessageType.PREPARE, child, context.txn_id,
-                      flags={"long_locks": child_long_locks})
+                      flags={"long_locks": child_long_locks},
+                      payload={"session_seq":
+                               self.session_seq(context, child)})
         for child in unsolicited:
             # No prepare flow: the vote arrives (or already arrived) on
             # the child's own initiative.
@@ -272,7 +274,7 @@ class VotingMixin:
     def _on_delegation(self: "TMNode", message: Message) -> None:
         """The coordinator handed us (the last agent) the decision."""
         context = self.ctx(message.txn_id)
-        if context is None and self.forgotten(message.txn_id):
+        if context is None and self.late_copy(message):
             # The delegation arrived after we finished with the
             # transaction on our own (a unilateral abort it crossed on
             # the wire).  The delegator is in doubt awaiting our
@@ -419,14 +421,18 @@ class VotingMixin:
             context.ro_delegation = True
             self.send(MessageType.VOTE_READ_ONLY, agent, context.txn_id,
                       flags={"last_agent_delegation": True,
-                             "long_locks": long_locks_flag})
+                             "long_locks": long_locks_flag},
+                      payload={"session_seq":
+                               self.session_seq(context, agent)})
             return
 
         def delegated() -> None:
             self.transition(context, TxnState.PREPARED)
             self.send(MessageType.VOTE_YES, agent, context.txn_id,
                       flags={"last_agent_delegation": True,
-                             "long_locks": long_locks_flag})
+                             "long_locks": long_locks_flag},
+                      payload={"session_seq":
+                               self.session_seq(context, agent)})
             self.start_heuristic_timer(context)
 
         self.log_tm(context, LogRecordType.PREPARED,

@@ -147,14 +147,14 @@ class MetricsCollector:
         chained profiles) call this between measurement windows instead
         of rebuilding the whole topology.
         """
-        self.flows = TaggedCounter(self.FLOW_DIMS)
+        self.flows = TaggedCounter(self.FLOW_DIMS, partition="txn")
         self.drops = TaggedCounter(self.DROP_DIMS)
-        self.log_writes = TaggedCounter(self.LOG_DIMS)
+        self.log_writes = TaggedCounter(self.LOG_DIMS, partition="txn")
         self.log_ios = TaggedCounter(self.IO_DIMS)
         # Local flows = TM <-> local-LRM interactions.  Table 2's shared-log
         # row counts the local LRM as the "subordinate", so these are kept
         # in their own counter rather than mixed into network flows.
-        self.local_flows = TaggedCounter(self.LOCAL_DIMS)
+        self.local_flows = TaggedCounter(self.LOCAL_DIMS, partition="txn")
         #: Degradations recovery survived but could not fully repair —
         #: e.g. an in-doubt restart that could not re-acquire locks
         #: because a resource manager went missing.  Silent before;

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from struct import Struct
+from array import array
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 Key = Tuple[Hashable, ...]
-
-#: The dimension stored as a partition (see :class:`TaggedCounter`).
-PARTITION_DIMENSION = "txn"
-
-_pack_id = Struct("I").pack
 
 
 class TaggedCounter:
@@ -23,31 +17,36 @@ class TaggedCounter:
         c.add(("commit", "prepare", "coord"))
         c.total(phase="commit")            # match on position 0
 
-    A ``txn`` dimension takes one new value per transaction, so keying
-    a dictionary by the full tuple would grow by a dozen tuples per
-    transaction for as long as the process runs.  It is stored as a
-    partition instead: counts are kept by the *other* tags (a handful
-    of combinations, however long the run), and each transaction keeps
-    only a packed array of the small ids of its events' tag
-    combinations.  Queries that do not name a transaction never touch
-    the partition.
+    Counts only grow: :meth:`add` takes a positive count and
+    :meth:`diff` reports increments.
+
+    ``partition`` names a dimension that takes one new value per unit
+    of work (the collector's ``txn``).  Keying a dictionary by the full
+    tuple would grow by a dozen tuples per transaction for as long as
+    the process runs, so counts are kept by the *other* tags (a handful
+    of combinations, however long the run) and each value of the
+    partition dimension keeps only a small array of (tag-combination
+    id, count) pairs.  Queries that do not name the partition dimension
+    never touch the arrays; an :meth:`add` costs the same however many
+    events came before it.
     """
 
-    def __init__(self, dimensions: Tuple[str, ...]) -> None:
+    def __init__(self, dimensions: Tuple[str, ...],
+                 partition: Optional[str] = None) -> None:
         if not dimensions:
             raise ValueError("a TaggedCounter needs at least one dimension")
         self.dimensions = dimensions
+        self.partition = partition
         self._axis: Optional[int] = (
-            dimensions.index(PARTITION_DIMENSION)
-            if PARTITION_DIMENSION in dimensions else None)
-        #: Counts by every tag but the partition dimension.
+            None if partition is None else dimensions.index(partition))
+        #: Counts by every tag but the partition dimension's.
         self._counts: Dict[Key, int] = {}
-        #: Partition: value -> its events' tag-combination ids, one
-        #: packed uint32 per event (read through ``_ids_of``).
-        self._members: Dict[Hashable, bytes] = {}
+        #: Partition value -> flat uint32 (tag-combination id, count)
+        #: pairs of its events.
+        self._members: Dict[Hashable, array] = {}
         self._tag_ids: Dict[Key, int] = {}
         self._tags: List[Key] = []
-        #: Distinct (transaction, tags) pairs recorded so far.
+        #: Distinct full keys recorded so far.
         self._pairs = 0
 
     # ------------------------------------------------------------------
@@ -57,31 +56,37 @@ class TaggedCounter:
         if len(key) != len(self.dimensions):
             raise ValueError(
                 f"key {key!r} does not match dimensions {self.dimensions!r}")
-        axis = self._axis
-        if axis is None:
-            self._counts[key] = self._counts.get(key, 0) + count
-            return
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
-        member = key[axis]
-        tags = key[:axis] + key[axis + 1:]
-        self._counts[tags] = self._counts.get(tags, 0) + count
+        axis = self._axis
+        tags = key if axis is None else key[:axis] + key[axis + 1:]
+        seen = self._counts.get(tags, 0)
+        self._counts[tags] = seen + count
+        if axis is None:
+            if not seen:
+                self._pairs += 1
+            return
         tag_id = self._tag_ids.get(tags)
         if tag_id is None:
             tag_id = self._tag_ids[tags] = len(self._tags)
             self._tags.append(tags)
-        events = self._members.get(member, b"")
-        if tag_id not in self._ids_of(events):
+        pairs = self._members.get(key[axis])
+        if pairs is None:
+            pairs = self._members[key[axis]] = array("I")
+        ids = pairs[::2]
+        if tag_id in ids:
+            pairs[2 * ids.index(tag_id) + 1] += count
+        else:
+            pairs.extend((tag_id, count))
             self._pairs += 1
-        self._members[member] = events + _pack_id(tag_id) * count
 
-    @staticmethod
-    def _ids_of(events: bytes) -> memoryview:
-        return memoryview(events).cast("I")
-
-    def _full_key(self, member: Hashable, tag_id: int) -> Key:
-        tags = self._tags[tag_id]
-        return tags[:self._axis] + (member,) + tags[self._axis:]
+    def _key(self, tags: Key, member: Hashable = None) -> Key:
+        """The full key: ``tags`` with ``member`` at the partition
+        dimension's position."""
+        axis = self._axis
+        if axis is None:
+            return tags
+        return tags[:axis] + (member,) + tags[axis:]
 
     # ------------------------------------------------------------------
     # Queries
@@ -89,31 +94,29 @@ class TaggedCounter:
     def _matching(self, match: Dict[str, Hashable],
                   split_members: bool = False) -> Iterable[Tuple[Key, int]]:
         """(full key, count) rows whose tags match.  Unless the query
-        names a transaction (or ``split_members`` asks for each one's
-        rows), the aggregate rows answer it, with a placeholder None in
-        the partition position."""
+        names a partition value (or ``split_members`` asks for each
+        one's rows), the aggregate rows answer it, with a placeholder
+        None in the partition position."""
         unknown = set(match) - set(self.dimensions)
         if unknown:
             raise ValueError(f"unknown dimensions: {sorted(unknown)}")
         positions = {self.dimensions.index(name): value
                      for name, value in match.items()}
-        axis = self._axis
-        if axis is None:
-            rows: Iterable[Tuple[Key, int]] = self._counts.items()
-        elif axis in positions:
-            rows = self._member_rows(positions[axis])
+        if self._axis in positions:
+            rows: Iterable[Tuple[Key, int]] = self._member_rows(
+                positions[self._axis])
         elif split_members:
             rows = self
         else:
-            rows = ((tags[:axis] + (None,) + tags[axis:], count)
+            rows = ((self._key(tags), count)
                     for tags, count in self._counts.items())
         return [(key, count) for key, count in rows
                 if all(key[pos] == value for pos, value in positions.items())]
 
     def _member_rows(self, member: Hashable) -> Iterator[Tuple[Key, int]]:
-        events = self._members.get(member, b"")
-        for tag_id, count in Counter(self._ids_of(events)).items():
-            yield self._full_key(member, tag_id), count
+        pairs = self._members.get(member, ())
+        for index in range(0, len(pairs), 2):
+            yield self._key(self._tags[pairs[index]], member), pairs[index + 1]
 
     def total(self, **match: Hashable) -> int:
         """Sum counts whose tags match every given dimension value."""
@@ -135,7 +138,7 @@ class TaggedCounter:
 
     def diff(self, earlier: Dict[Key, int]) -> "TaggedCounter":
         """Counter holding only increments since ``earlier``."""
-        delta = TaggedCounter(self.dimensions)
+        delta = TaggedCounter(self.dimensions, self.partition)
         for key, count in self:
             change = count - earlier.get(key, 0)
             if change > 0:
@@ -149,4 +152,4 @@ class TaggedCounter:
                 for row in self._member_rows(member))
 
     def __len__(self) -> int:
-        return len(self._counts) if self._axis is None else self._pairs
+        return self._pairs

@@ -309,7 +309,9 @@ class ConformanceAuditor:
 # ----------------------------------------------------------------------
 # The audit matrix (module-level and picklable for pool.sweep)
 # ----------------------------------------------------------------------
-def _cell_config(protocol: str, variant: str):
+def cell_config(protocol: str, variant: str):
+    """The protocol configuration of one matrix cell (shared with
+    :mod:`repro.verify.retention`, which runs the same cells long)."""
     from repro.core.config import (
         BASIC_2PC, PRESUMED_ABORT, PRESUMED_COMMIT, PRESUMED_NOTHING)
     from repro.log.group_commit import GroupCommitPolicy
@@ -376,7 +378,7 @@ def run_audit_cell(protocol: str, variant: str, n: int = 3, m: int = 1,
     effective_m = m if variant in ("read_only", "last_agent") else 0
     expected = expected_costs(protocol, variant, n, effective_m)
     names = [f"n{i}" for i in range(n)]
-    cluster = Cluster(_cell_config(protocol, variant), nodes=names,
+    cluster = Cluster(cell_config(protocol, variant), nodes=names,
                       seed=seed)
     ledger = CostLedger().attach(cluster)
     auditor = ConformanceAuditor(predictor=expected,
@@ -418,7 +420,7 @@ def run_faulty_audit_cell(protocol: str = "pa", seed: int = 7
     from repro.core.cluster import Cluster
     from repro.obs.ledger import CostLedger
 
-    config = _cell_config(protocol, "baseline").with_options(
+    config = cell_config(protocol, "baseline").with_options(
         ack_timeout=20.0, retry_interval=20.0)
     cluster = Cluster(config, nodes=["c", "s"], seed=seed)
     ledger = CostLedger().attach(cluster)

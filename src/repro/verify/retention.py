@@ -20,22 +20,23 @@ run of a workload under ``gc.disable()`` answers four questions:
       grows in amortised steps that fall into one quarter or another;
       they are judged, slack included, by the budget, which is on the
       whole run's average.
-(iv)  **Flat time.**  The last quarter takes no longer per transaction
-      than the first: nothing on the hot path walks history.
+(iv)  **Flat time.**  The last hundred transactions execute no more
+      source lines than the first hundred: nothing on the hot path
+      walks history.  (Lines executed, counted by a trace function,
+      are time in a unit that does not depend on the machine or on
+      what else it is running.)
 
-Every measure is deterministic or a ratio within one run — no RSS, no
-absolute throughput — so the same numbers gate ``run_baseline.py`` on
-any machine.
+Every measure is deterministic — no RSS, no clock — so the same
+numbers gate ``run_baseline.py`` on any machine.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 from dataclasses import dataclass, field
-from statistics import median
-from time import process_time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.cluster import Cluster
 from repro.core.spec import ParticipantSpec, TransactionSpec
@@ -45,7 +46,7 @@ from repro.net.latency import UniformLatency
 # its configurations.
 from repro.obs.audit import AUDIT_PROTOCOLS as PROTOCOLS
 from repro.obs.audit import AUDIT_VARIANTS as VARIANTS
-from repro.obs.audit import _cell_config
+from repro.obs.audit import cell_config
 from repro.sim.randomness import RandomStream
 
 #: Resident bytes per finished transaction the two perfbench-shaped
@@ -53,8 +54,8 @@ from repro.sim.randomness import RandomStream
 STEADY_BUDGET = 3.5 * 1024
 CONTENDED_BUDGET = 9.0 * 1024
 
-#: Transactions per round: CPU time is sampled between rounds (see
-#: :func:`run_workload`).
+#: Transactions per round: the cluster is drained, and sampled, between
+#: rounds (see :func:`run_workload`).
 _SAMPLE = 100
 
 #: Largest block counted as an object rather than a container's buffer
@@ -77,8 +78,9 @@ class RetentionReport:
     #: quarter, the part of them in small blocks.
     traced_bytes: Optional[int] = None
     small_bytes: List[int] = field(default_factory=list)
-    #: Median CPU seconds per round, per quarter of the run.
-    block_cpu: List[float] = field(default_factory=list)
+    #: Source lines executed by the first and by the last round (empty
+    #: unless traced).
+    round_lines: List[int] = field(default_factory=list)
 
     def bytes_per_txn(self, quarter: Optional[int] = None) -> float:
         """Resident bytes a transaction adds: the whole run's average,
@@ -105,17 +107,47 @@ class RetentionReport:
             if budget is not None and self.bytes_per_txn() > budget:
                 found.append(f"(iii) {self.bytes_per_txn():.0f} bytes/txn "
                              f"is over the {budget:.0f} budget")
-        if self.block_cpu and self.block_cpu[3] > 1.15 * self.block_cpu[0]:
-            found.append(f"(iv) quarter 4 took "
-                         f"{self.block_cpu[3] / self.block_cpu[0]:.2f}x "
-                         f"quarter 1's time per transaction")
+        if self.round_lines and self.time_ratio() > 1.15:
+            found.append(f"(iv) the last round executed "
+                         f"{self.time_ratio():.2f}x the first round's lines")
         return found
+
+    def time_ratio(self) -> float:
+        """Lines the last round executed per line the first one did."""
+        return self.round_lines[-1] / self.round_lines[0]
+
+
+class _LineCounter:
+    """A trace function that counts the source lines executed."""
+
+    def __init__(self) -> None:
+        self.lines = 0
+
+    def __call__(self, frame, event, arg):
+        return self._line
+
+    def _line(self, frame, event, arg):
+        if event == "line":
+            self.lines += 1
+        return self._line
+
+
+def _lines_executed(run: Callable[[], None]) -> int:
+    counter = _LineCounter()
+    previous = sys.gettrace()
+    sys.settrace(counter)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return counter.lines
 
 
 def leftovers(cluster) -> Dict[str, int]:
     """Entries still held, summed over nodes, by every structure that
     should be proportional to the transactions in flight."""
     counts = {"contexts": 0, "implied_ack_waiters": 0, "deferred_outbox": 0,
+              "arrivals_past_a_gap": 0,
               "lock_table": 0, "held_by_txn": 0, "waiting_by_txn": 0,
               "first_acquire_at": 0, "rm_txns": 0, "veto_txns": 0,
               "kv_undo": 0}
@@ -123,6 +155,8 @@ def leftovers(cluster) -> Dict[str, int]:
         counts["contexts"] += len(node.contexts)
         counts["implied_ack_waiters"] += len(node._implied_ack_waiters)
         counts["deferred_outbox"] += len(node._deferred_outbox)
+        counts["arrivals_past_a_gap"] += sum(
+            len(arrivals.above) for arrivals in node._arrivals.values())
         for rm in node.all_rms():
             locks = rm.locks
             counts["lock_table"] += len(locks._table)
@@ -204,16 +238,17 @@ def run_workload(cluster: Cluster, specs: Sequence[TransactionSpec],
     arrive as a Poisson stream with that mean simulated gap (about
     ``commit time / mean_gap`` in flight).  Every transaction must
     commit.  The run proceeds in rounds of ``_SAMPLE`` transactions,
-    each drained before memory and CPU time are read, so the samples
-    see the cluster at rest: what finished transactions left, not what
-    those in flight happen to hold.
+    each drained before memory is read, so the samples see the cluster
+    at rest: what finished transactions left, not what those in flight
+    happen to hold.  ``trace`` measures memory (tracemalloc, all the
+    way) and time (lines executed by the first and the last round).
     """
     simulator = cluster.simulator
     rng = RandomStream(seed ^ 0x5EED)
     committed = 0
     traced = None
     small: List[int] = []
-    cpu: List[float] = []
+    lines: List[int] = []
 
     def finished(handle) -> None:
         nonlocal committed
@@ -229,21 +264,26 @@ def run_workload(cluster: Cluster, specs: Sequence[TransactionSpec],
                                lambda: arrive(pending))
             cluster.start_transaction(spec).on_done(finished)
 
+    def run_round(first: int) -> None:
+        if mean_gap is None:
+            for spec in specs[first:first + _SAMPLE]:
+                finished(cluster.run_transaction(spec))
+        else:
+            arrive(iter(specs[first:first + _SAMPLE]))
+            cluster.run()
+
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     if trace:
         tracemalloc.start()
     try:
-        for first in range(0, len(specs), _SAMPLE):
-            began = process_time()
-            if mean_gap is None:
-                for spec in specs[first:first + _SAMPLE]:
-                    finished(cluster.run_transaction(spec))
+        rounds = range(0, len(specs), _SAMPLE)
+        for first in rounds:
+            if trace and first in (rounds[0], rounds[-1]):
+                lines.append(_lines_executed(lambda: run_round(first)))
             else:
-                arrive(iter(specs[first:first + _SAMPLE]))
-                cluster.run()
-            cpu.append(process_time() - began)
+                run_round(first)
             if trace and committed % (len(specs) // 4) == 0:
                 small.append(sum(
                     block.size for block
@@ -259,25 +299,10 @@ def run_workload(cluster: Cluster, specs: Sequence[TransactionSpec],
             tracemalloc.stop()
         if enabled:
             gc.enable()
-    per = len(cpu) // 4
     return RetentionReport(
         txns=len(specs), unreachable=unreachable,
         leftovers=leftovers(cluster), traced_bytes=traced,
-        small_bytes=small,
-        block_cpu=[median(cpu[quarter * per:(quarter + 1) * per])
-                   for quarter in range(4)] if per else [])
-
-
-def checked(run, budget: float):
-    """``run()`` and the checks it fails against ``budget``; a run that
-    fails on time alone (CPU time on a shared machine) is repeated once
-    before it counts as a slope."""
-    report = run()
-    problems = report.problems(budget)
-    if problems and all(p.startswith("(iv)") for p in problems):
-        report = run()
-        problems = report.problems(budget)
-    return report, problems
+        small_bytes=small, round_lines=lines)
 
 
 def run_cell(protocol: str, variant: str, txns: int = 300,
@@ -285,7 +310,7 @@ def run_cell(protocol: str, variant: str, txns: int = 300,
     """One protocol x optimization cell of the audit matrix, run long
     enough to show what accumulates."""
     names = ["n0", "n1", "n2"]
-    cluster = Cluster(_cell_config(protocol, variant), nodes=names,
+    cluster = Cluster(cell_config(protocol, variant), nodes=names,
                       seed=seed, latency=UniformLatency(0.5, 1.5))
     specs = star_specs(variant, names, txns,
                        hot_keys=8 if concurrent else 0, seed=seed)

@@ -54,6 +54,43 @@ class TestTaggedCounter:
         assert delta.total(k="x") == 1
         assert delta.total(k="y") == 5
 
+    def test_counts_only_grow(self):
+        for partition in (None, "k"):
+            counter = TaggedCounter(("k",), partition=partition)
+            with pytest.raises(ValueError):
+                counter.add(("x",), 0)
+            counter.add(("x",), 2)
+            assert counter.diff({("x",): 5}).total() == 0
+
+    def test_partitioned_counter_answers_like_a_plain_one(self):
+        dims = ("phase", "type", "txn")
+        plain = TaggedCounter(dims)
+        split = TaggedCounter(dims, partition="txn")
+        with pytest.raises(ValueError):
+            TaggedCounter(dims, partition="bogus")
+        events = [("commit", "prepare", "t1"), ("commit", "vote", "t1"),
+                  ("commit", "prepare", "t2"), ("data", "data", "t1"),
+                  ("commit", "prepare", "t1"), ("data", "data", "shared")]
+        for counter in (plain, split):
+            for key in events:
+                counter.add(key)
+            counter.add(("data", "data", "shared"), 3)
+        snapshot = split.snapshot()
+        assert snapshot == plain.snapshot() and len(split) == len(plain) == 5
+        assert sorted(split) == sorted(plain)
+        for match in ({}, {"phase": "commit"}, {"txn": "t1"},
+                      {"txn": "t1", "type": "prepare"}, {"txn": "nobody"}):
+            assert split.total(**match) == plain.total(**match)
+            for dimension in dims:
+                assert split.group_by(dimension, **match) == \
+                    plain.group_by(dimension, **match)
+        for counter in (plain, split):
+            counter.add(("commit", "ack", "t2"), 2)
+            counter.add(("data", "data", "shared"))
+        assert split.diff(snapshot).snapshot() == {
+            ("commit", "ack", "t2"): 2, ("data", "data", "shared"): 1}
+        assert plain.diff(snapshot).snapshot() == split.diff(snapshot).snapshot()
+
 
 class TestMetricsCollector:
     def test_commit_flows_filters_phase(self, metrics):
