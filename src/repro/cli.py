@@ -14,8 +14,8 @@ Usage::
     repro-2pc torture [--configs ...] [--variants ...] [--seed S]
                       [--workers N] [--max-sites N] [--artifacts DIR]
                       [--replay FILE] [--json]
-    repro-2pc journal NAME [--out FILE] [--columnar] [--watchdog]
-                     [--prom] [--seed S] [--txns K]
+    repro-2pc journal NAME [--out FILE] [--watchdog] [--prom]
+                     [--seed S] [--txns K]
     repro-2pc diff A.jsonl B.jsonl [--ignore-time] [--normalize-txns]
                   [--json]
     repro-2pc live NAME|all [--seed S] [--txns K] [--log-dir DIR]
@@ -298,8 +298,8 @@ JOURNAL_PROTOCOLS = ("basic", "presumed_abort", "presumed_nothing",
                      "presumed_commit")
 
 
-def _run_journal(name: str, out: Optional[str], columnar: bool,
-                 watchdog: bool, prom: bool, seed: int, txns: int) -> int:
+def _run_journal(name: str, out: Optional[str], watchdog: bool,
+                 prom: bool, seed: int, txns: int) -> int:
     """Record a workload as a flight-recorder journal (JSONL).
 
     The journal goes to stdout (or ``--out FILE``); watchdog findings
@@ -317,8 +317,7 @@ def _run_journal(name: str, out: Optional[str], columnar: bool,
         config = {"basic": BASIC_2PC, "presumed_abort": PRESUMED_ABORT,
                   "presumed_nothing": PRESUMED_NOTHING,
                   "presumed_commit": PRESUMED_COMMIT}[name]
-        entries = record_workload_journal(config, seed=seed, txns=txns,
-                                          columnar=columnar)
+        entries = record_workload_journal(config, seed=seed, txns=txns)
     else:
         if name == "default":
             cluster, specs = _default_trace_cluster()
@@ -331,7 +330,7 @@ def _run_journal(name: str, out: Optional[str], columnar: bool,
                   f"{', '.join(JOURNAL_PROTOCOLS)}, "
                   f"{', '.join(sorted(PROFILES))}", file=sys.stderr)
             return 2
-        recorder = JournalRecorder(columnar=columnar).attach(cluster)
+        recorder = JournalRecorder().attach(cluster)
         for spec in specs:
             cluster.run_transaction(spec)
         cluster.finalize_implied_acks()
@@ -855,9 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     journal.add_argument("--out", default=None, metavar="FILE",
                          help="write the journal here instead of "
                               "stdout")
-    journal.add_argument("--columnar", action="store_true",
-                         help="record into array-backed columnar "
-                              "storage (identical output)")
     journal.add_argument("--watchdog", action="store_true",
                          help="run the watchdog detectors over the "
                               "journal; nonzero exit on findings")
@@ -1086,9 +1082,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(report.describe())
         return 0 if report.clean else 1
     if args.command == "journal":
-        return _run_journal(args.name, args.out, args.columnar,
-                            args.watchdog, args.prom, args.seed,
-                            args.txns)
+        return _run_journal(args.name, args.out, args.watchdog,
+                            args.prom, args.seed, args.txns)
     if args.command == "diff":
         return _run_diff(args.a, args.b, args.ignore_time,
                          args.normalize_txns, args.json)

@@ -42,7 +42,7 @@ from repro.obs.diff import (Divergence, diff_journals,
                             record_workload_journal,
                             run_journal_self_check)
 from repro.obs.journal import (JournalEntry, JournalRecorder,
-                               JournalTape, journal_from_jsonl,
+                               JournalRows, journal_from_jsonl,
                                journal_to_jsonl, normalize_txn_ids)
 from repro.obs.ledger import CostLedger, LockHold, TxnLedger
 from repro.obs.profiler import KernelProfiler
@@ -71,7 +71,7 @@ __all__ = [
     "IntColumn",
     "JournalEntry",
     "JournalRecorder",
-    "JournalTape",
+    "JournalRows",
     "PairColumn",
     "StringInterner",
     "KernelProfiler",

@@ -162,8 +162,8 @@ def diff_journals(expected: Sequence[JournalEntry],
 # Self-check: record -> replay -> diff must be empty
 # ----------------------------------------------------------------------
 def record_workload_journal(config, seed: int = 11, txns: int = 8,
-                            nodes: Optional[Sequence[str]] = None,
-                            columnar: bool = False) -> List[JournalEntry]:
+                            nodes: Optional[Sequence[str]] = None
+                            ) -> List[JournalEntry]:
     """Run a seeded generated workload under a journal recorder and
     return the txn-normalized entries."""
     from repro.core.cluster import Cluster
@@ -172,7 +172,7 @@ def record_workload_journal(config, seed: int = 11, txns: int = 8,
 
     node_names = list(nodes or ["n0", "n1", "n2"])
     cluster = Cluster(config, nodes=node_names, seed=seed)
-    recorder = JournalRecorder(columnar=columnar).attach(cluster)
+    recorder = JournalRecorder().attach(cluster)
     generator = WorkloadGenerator(
         node_names, WorkloadParams(read_only_fraction=0.3, key_space=4),
         RandomStream(seed))

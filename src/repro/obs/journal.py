@@ -36,20 +36,20 @@ Every entry also carries the protocol phase the (txn, node) pair was
 in when the action happened, so divergence reports can say *where in
 the protocol* two runs forked.
 
-Storage is either a plain list of :class:`JournalEntry` objects or —
-``JournalRecorder(columnar=True)`` — a :class:`JournalTape` built on
-:mod:`repro.metrics.columns` primitives (interned strings + typed
-array buffers, entries materialized lazily).  Serialisation is
-schema-versioned JSONL: a header line naming :data:`SCHEMA`, then one
-entry per line.
+Storage is :class:`JournalRows`, one fixed-width packed row per entry
+(an entry has at most two parents: its site predecessor and one cross
+edge); the JSONL renderer and the watchdog read the rows directly, and
+:class:`JournalEntry` objects are built only on request.
+Serialisation is schema-versioned JSONL: a header line naming
+:data:`SCHEMA`, then one entry per line.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.metrics.columns import FloatColumn, IntColumn, StringInterner
+import struct
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Journal wire-format version; bumped on any incompatible change.
 SCHEMA = "repro-journal/1"
@@ -58,16 +58,28 @@ SCHEMA = "repro-journal/1"
 #: commit context exists there (mirrors repro.obs.ledger.IDLE_PHASE).
 IDLE_PHASE = "idle"
 
-#: JSONL fields, in serialisation order.
-_FIELDS = ("eid", "t", "kind", "node", "txn", "phase", "ref", "peer",
-           "lsn", "forced", "parents")
-
 #: (txn, node) protocol states that count as settled for orphan
 #: detection — anything else at journal end is an abandoned span.
 SETTLED_STATES = frozenset({
     "committed", "aborted", "forgotten", "read-only-done",
     "heuristic-committed", "heuristic-aborted",
 })
+
+#: Entry kinds.  Every store interns them first, so a kind's id is its
+#: index here in every store and folds compare ids, not strings.
+KINDS = ("transition", "send", "deliver", "write", "harden", "wait",
+         "grant", "release", "kernel")
+(TRANSITION, SEND, DELIVER, WRITE, HARDEN, WAIT, GRANT, RELEASE,
+ KERNEL) = range(len(KINDS))
+
+#: One entry: ``t``; kind, node, txn, phase, ref and peer string ids
+#: (-1 = None); ``lsn`` (-1 = None); ``forced`` (-1 None, 0, 1); two
+#: parent eids (-1 = empty slot, filled first slot first).
+ROW = struct.Struct("<d6iqbqq")
+
+#: A rendered entry: ``journal_to_jsonl``'s sorted-key compact line.
+_LINE = ('{"eid":%d,"forced":%s,"kind":%s,"lsn":%s,"node":%s,'
+         '"parents":[%s],"peer":%s,"phase":%s,"ref":%s,"t":%r,"txn":%s}')
 
 
 class JournalEntry:
@@ -157,85 +169,100 @@ class JournalEntry:
         return f"<JournalEntry #{self.eid} {self.describe()}>"
 
 
-class JournalTape:
-    """Columnar journal storage: one interned/typed column per field.
+class _Ids(dict):
+    """String -> id (next id on first sight, None is -1); a dict, not a
+    ``StringInterner``, so a repeat is one C-level subscript."""
 
-    Same layout idea as
-    :class:`~repro.metrics.columns.ColumnarTraceLog`: strings intern
-    to small ints, scalars live in typed array buffers, and variable-
-    length parent lists flatten into one int column indexed by a
-    per-entry offset column.  Entries materialize lazily on read.
-    """
-
-    __slots__ = ("_t", "_kind", "_node", "_txn", "_phase", "_ref",
-                 "_peer", "_lsn", "_forced", "_par_flat", "_par_start",
-                 "_interner")
+    __slots__ = ("strings",)
 
     def __init__(self) -> None:
-        self._interner = StringInterner()
-        self._t = FloatColumn()
-        self._kind = IntColumn()
-        self._node = IntColumn()
-        self._txn = IntColumn()
-        self._phase = IntColumn()
-        self._ref = IntColumn()
-        self._peer = IntColumn()
-        self._lsn = IntColumn()      # -1 encodes None
-        self._forced = IntColumn()   # -1 none / 0 false / 1 true
-        self._par_flat = IntColumn()
-        self._par_start = IntColumn()
+        super().__init__({None: -1})
+        self.strings: List[str] = []
 
-    def append_fields(self, t: float, kind: str, node: str,
-                      txn: Optional[str], phase: Optional[str],
-                      ref: Optional[str], peer: Optional[str],
-                      lsn: Optional[int], forced: Optional[bool],
-                      parents: Sequence[int]) -> None:
-        intern = self._interner.intern
-        self._t.append(t)
-        self._kind.append(intern(kind))
-        self._node.append(intern(node))
-        self._txn.append(intern(txn))
-        self._phase.append(intern(phase))
-        self._ref.append(intern(ref))
-        self._peer.append(intern(peer))
-        self._lsn.append(-1 if lsn is None else lsn)
-        self._forced.append(-1 if forced is None else int(forced))
-        self._par_start.append(len(self._par_flat))
-        for parent in parents:
-            self._par_flat.append(parent)
+    def __missing__(self, value: str) -> int:
+        ident = self[value] = len(self.strings)
+        self.strings.append(value)
+        return ident
 
-    def _materialize(self, index: int) -> JournalEntry:
-        lookup = self._interner.lookup
-        start = self._par_start[index]
-        end = (self._par_start[index + 1] if index + 1 < len(self._t)
-               else len(self._par_flat))
-        lsn = self._lsn[index]
-        forced = self._forced[index]
-        return JournalEntry(
-            eid=index, t=self._t[index],
-            kind=lookup(self._kind[index]),
-            node=lookup(self._node[index]),
-            txn=lookup(self._txn[index]),
-            phase=lookup(self._phase[index]),
-            ref=lookup(self._ref[index]),
-            peer=lookup(self._peer[index]),
-            lsn=None if lsn < 0 else lsn,
-            forced=None if forced < 0 else bool(forced),
-            parents=[self._par_flat[i] for i in range(start, end)])
+
+class JournalRows:
+    """The journal store: one packed :data:`ROW` per entry.
+
+    ``buf`` holds the rows back to back (an entry's eid is its row
+    number); ``ids`` interns strings and ``ids.strings`` maps an id
+    back.  Times are stored as doubles, so an integer clock reading
+    (``Simulator.at(5)``) is journalled as ``5.0``.
+    """
+
+    __slots__ = ("buf", "ids")
+
+    def __init__(self) -> None:
+        self.buf = bytearray()
+        self.ids = _Ids()
+        for kind in KINDS:
+            self.ids[kind]      # interned first: a kind's id is its index
 
     def __len__(self) -> int:
-        return len(self._t)
+        return len(self.buf) // ROW.size
 
-    def __iter__(self) -> Iterator[JournalEntry]:
-        for index in range(len(self._t)):
-            yield self._materialize(index)
+    def rows(self, start: int = 0, stop: Optional[int] = None
+             ) -> Iterable[Tuple]:
+        """Unpacked rows ``start:stop`` (unpacked from a copy, so
+        appending meanwhile is safe)."""
+        end = None if stop is None else stop * ROW.size
+        return ROW.iter_unpack(self.buf[start * ROW.size:end])
 
-    def __getitem__(self, index: int) -> JournalEntry:
-        if index < 0:
-            index += len(self._t)
-        if not 0 <= index < len(self._t):
-            raise IndexError("journal index out of range")
-        return self._materialize(index)
+    def entries(self, start: int = 0, stop: Optional[int] = None
+                ) -> List[JournalEntry]:
+        names = self.ids.strings + [None]       # id -1 reads as None
+        return [JournalEntry(
+            eid, t, names[kind], names[node], names[txn], names[phase],
+            names[ref], names[peer], None if lsn < 0 else lsn,
+            None if forced < 0 else forced == 1,
+            () if p0 < 0 else (p0,) if p1 < 0 else (p0, p1))
+            for eid, (t, kind, node, txn, phase, ref, peer, lsn, forced,
+                      p0, p1) in enumerate(self.rows(start, stop), start)]
+
+    def extend(self, entries: Iterable[JournalEntry],
+               row_of: Dict[int, int]) -> None:
+        """Pack entry objects (e.g. a loaded journal) as rows.
+
+        ``row_of`` maps eids already packed to their rows and is
+        extended; parents are translated through it, and a parent
+        that is not in it (cut out of the journal) is dropped.
+        """
+        ids = self.ids
+        for entry in entries:
+            parents = [row_of[p] for p in entry.parents if p in row_of]
+            if len(parents) > 2:
+                raise ValueError(f"journal entry {entry.eid} has "
+                                 f"{len(parents)} parents; a row holds 2")
+            parents += [-1, -1]
+            row_of[entry.eid] = len(self)
+            self.buf += ROW.pack(
+                entry.t, ids[entry.kind], ids[entry.node], ids[entry.txn],
+                ids[entry.phase], ids[entry.ref], ids[entry.peer],
+                -1 if entry.lsn is None else entry.lsn,
+                -1 if entry.forced is None else entry.forced,
+                parents[0], parents[1])
+
+    def to_jsonl(self, meta: Optional[Dict[str, object]] = None) -> str:
+        """Byte-identical to ``journal_to_jsonl(self.entries(), meta)``,
+        rendered from the rows with each string JSON-encoded once."""
+        # An id or ``forced`` of -1 (None) reads the last item, "null".
+        encoded = [json.dumps(s) for s in self.ids.strings] + ["null"]
+        lines = [json.dumps({"schema": SCHEMA, "meta": dict(meta or {})},
+                            sort_keys=True)]
+        append = lines.append
+        for eid, (t, kind, node, txn, phase, ref, peer, lsn, forced,
+                  p0, p1) in enumerate(self.rows()):
+            append(_LINE % (
+                eid, ("false", "true", "null")[forced], encoded[kind],
+                "null" if lsn < 0 else lsn, encoded[node],
+                "" if p0 < 0 else p0 if p1 < 0 else f"{p0},{p1}",
+                encoded[peer], encoded[phase], encoded[ref], t,
+                encoded[txn]))
+        return "\n".join(lines)
 
 
 class JournalRecorder:
@@ -247,21 +274,16 @@ class JournalRecorder:
     idempotent.  All installs are list-appends, so an unattached
     cluster pays nothing.
 
-    ``columnar`` stores entries in a :class:`JournalTape` instead of a
-    Python list (same entries, array-backed).  ``kernel_events``
-    additionally journals every simulator event dispatch (huge —
-    debugging only).
+    ``kernel_events`` additionally journals every simulator event
+    dispatch (huge — debugging only; every event name is interned).
     """
 
-    def __init__(self, columnar: bool = False,
-                 kernel_events: bool = False) -> None:
+    def __init__(self, kernel_events: bool = False) -> None:
         self.cluster = None
-        self.columnar = columnar
         self.kernel_events = kernel_events
-        self._tape: Optional[JournalTape] = (JournalTape() if columnar
-                                             else None)
-        self._entries: List[JournalEntry] = []
-        self._n = 0
+        #: The journal itself.
+        self.rows = JournalRows()
+        self._clock = None
         self._installed: List[Tuple[list, object]] = []
         self._kernel_hook = None
         # Causal bookkeeping.
@@ -283,6 +305,7 @@ class JournalRecorder:
             raise RuntimeError("JournalRecorder is already attached to a "
                                "different cluster; detach() first")
         self.cluster = cluster
+        self._clock = cluster.simulator
 
         def install(hook_list: list, hook) -> None:
             hook_list.append(hook)
@@ -302,25 +325,13 @@ class JournalRecorder:
                 install(log.on_flush, self._on_flush)
             for rm in node.all_rms():
                 locks = rm.locks
-                node_name = node.name
-
-                def on_wait(txn_id, key, mode, _node=node_name):
-                    self._on_wait(_node, txn_id, key, mode)
-
-                def on_grant(txn_id, key, mode, _node=node_name):
-                    self._on_grant(_node, txn_id, key, mode)
-
-                def on_release(txn_id, key, _node=node_name):
-                    self._on_release(_node, txn_id, key)
-
-                install(locks.on_wait, on_wait)
-                install(locks.on_grant, on_grant)
-                install(locks.on_release, on_release)
+                install(locks.on_wait, partial(self._on_wait, node.name))
+                install(locks.on_grant, partial(self._on_grant, node.name))
+                install(locks.on_release,
+                        partial(self._on_release, node.name))
         if self.kernel_events:
-            def on_event(event) -> None:
-                self._on_kernel(event)
-            self._kernel_hook = on_event
-            cluster.simulator.add_event_hook(on_event)
+            self._kernel_hook = self._on_kernel
+            cluster.simulator.add_event_hook(self._kernel_hook)
         return self
 
     def detach(self) -> None:
@@ -343,32 +354,21 @@ class JournalRecorder:
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    @property
-    def _now(self) -> float:
-        return self.cluster.simulator.now if self.cluster else 0.0
-
-    def _emit(self, kind: str, site: str, txn: Optional[str],
+    def _emit(self, kind: int, site: str, txn: Optional[str],
               phase: Optional[str], ref: Optional[str] = None,
-              peer: Optional[str] = None, lsn: Optional[int] = None,
-              forced: Optional[bool] = None,
-              extra_parents: Sequence[Optional[int]] = ()) -> int:
-        eid = self._n
-        parents: List[int] = []
-        previous = self._last_at_site.get(site)
-        if previous is not None:
-            parents.append(previous)
-        for parent in extra_parents:
-            if parent is not None and parent not in parents:
-                parents.append(parent)
-        if self._tape is not None:
-            self._tape.append_fields(self._now, kind, site, txn, phase,
-                                     ref, peer, lsn, forced, parents)
-        else:
-            self._entries.append(JournalEntry(
-                eid=eid, t=self._now, kind=kind, node=site, txn=txn,
-                phase=phase, ref=ref, peer=peer, lsn=lsn, forced=forced,
-                parents=parents))
-        self._n = eid + 1
+              peer: Optional[str] = None, lsn: int = -1, forced: int = -1,
+              extra_parent: int = -1) -> int:
+        rows = self.rows
+        eid = len(rows.buf) // ROW.size
+        parent = self._last_at_site.get(site, -1)
+        if parent < 0:
+            parent, extra_parent = extra_parent, -1
+        elif extra_parent == parent:
+            extra_parent = -1
+        ids = rows.ids
+        rows.buf += ROW.pack(self._clock.now, kind, ids[site], ids[txn],
+                             ids[phase], ids[ref], ids[peer], lsn, forced,
+                             parent, extra_parent)
         self._last_at_site[site] = eid
         if txn is not None:
             self._last_txn_site[(txn, site)] = eid
@@ -384,34 +384,34 @@ class JournalRecorder:
     # Hook bodies
     # ------------------------------------------------------------------
     def _on_transition(self, node: str, txn_id: str, old, new) -> None:
-        extra: List[Optional[int]] = []
+        extra = -1
         if old is None:
             # Context creation: link the parent/child txn edge so the
             # causal DAG shows who enrolled this node.
             context = self.cluster.nodes[node].ctx(txn_id)
             parent_node = getattr(context, "parent", None)
             if parent_node is not None:
-                extra.append(self._last_txn_site.get((txn_id, parent_node)))
-        self._states[(txn_id, node)] = new.value
-        self._emit("transition", node, txn_id, new.value, ref=new.value,
+                extra = self._last_txn_site.get((txn_id, parent_node), -1)
+        state = self._states[(txn_id, node)] = new.value
+        self._emit(TRANSITION, node, txn_id, state, ref=state,
                    peer=old.value if old is not None else None,
-                   extra_parents=extra)
+                   extra_parent=extra)
 
     def _on_send(self, message) -> None:
-        eid = self._emit("send", message.src, message.txn_id,
+        eid = self._emit(SEND, message.src, message.txn_id,
                          self._phase(message.txn_id, message.src),
                          ref=message.msg_type.value, peer=message.dst)
         self._sends[message.msg_id] = eid
 
     def _on_deliver(self, message) -> None:
-        self._emit("deliver", message.dst, message.txn_id,
+        self._emit(DELIVER, message.dst, message.txn_id,
                    self._phase(message.txn_id, message.dst),
                    ref=message.msg_type.value, peer=message.src,
-                   extra_parents=[self._sends.pop(message.msg_id, None)])
+                   extra_parent=self._sends.pop(message.msg_id, -1))
 
     def _on_write(self, record) -> None:
         site = record.node
-        eid = self._emit("write", site, record.txn_id,
+        eid = self._emit(WRITE, site, record.txn_id,
                          self._phase(record.txn_id, site),
                          ref=record.record_type.value, lsn=record.lsn,
                          forced=record.forced)
@@ -420,50 +420,49 @@ class JournalRecorder:
     def _on_flush(self, durable) -> None:
         for record in durable:
             site = record.node
-            self._emit("harden", site, record.txn_id,
+            self._emit(HARDEN, site, record.txn_id,
                        self._phase(record.txn_id, site),
                        ref=record.record_type.value, lsn=record.lsn,
-                       extra_parents=[
-                           self._writes.pop((site, record.lsn), None)])
+                       extra_parent=self._writes.pop((site, record.lsn),
+                                                     -1))
 
     def _on_wait(self, node: str, txn_id: str, key: str, mode) -> None:
-        eid = self._emit("wait", node, txn_id, self._phase(txn_id, node),
+        eid = self._emit(WAIT, node, txn_id, self._phase(txn_id, node),
                          ref=key, peer=getattr(mode, "value", str(mode)))
         self._waits[(node, txn_id, key)] = eid
 
     def _on_grant(self, node: str, txn_id: str, key: str, mode) -> None:
-        eid = self._emit("grant", node, txn_id, self._phase(txn_id, node),
+        eid = self._emit(GRANT, node, txn_id, self._phase(txn_id, node),
                          ref=key, peer=getattr(mode, "value", str(mode)),
-                         extra_parents=[
-                             self._waits.pop((node, txn_id, key), None)])
+                         extra_parent=self._waits.pop((node, txn_id, key),
+                                                      -1))
         self._grants[(node, txn_id, key)] = eid
 
     def _on_release(self, node: str, txn_id: str, key: str) -> None:
-        self._emit("release", node, txn_id, self._phase(txn_id, node),
+        self._emit(RELEASE, node, txn_id, self._phase(txn_id, node),
                    ref=key,
-                   extra_parents=[
-                       self._grants.pop((node, txn_id, key), None)])
+                   extra_parent=self._grants.pop((node, txn_id, key), -1))
 
     def _on_kernel(self, event) -> None:
-        self._emit("kernel", "kernel", None, None,
+        self._emit(KERNEL, "kernel", None, None,
                    ref=getattr(event, "name", "") or "event")
 
     # ------------------------------------------------------------------
     # Queries / export
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._n
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> JournalEntry:
+        index = range(len(self))[index]     # negative and bounds
+        return self.rows.entries(index, index + 1)[0]
 
     def entries(self, start: int = 0) -> List[JournalEntry]:
-        """The journal from entry ``start`` on, as entry objects
-        (materialized when columnar)."""
-        if self._tape is not None:
-            return [self._tape[index]
-                    for index in range(start, len(self._tape))]
-        return self._entries[start:]
+        """The journal from entry ``start`` on, as entry objects."""
+        return self.rows.entries(start)
 
     def to_jsonl(self, meta: Optional[Dict[str, object]] = None) -> str:
-        return journal_to_jsonl(self.entries(), meta=meta)
+        return self.rows.to_jsonl(meta)
 
 
 # ----------------------------------------------------------------------

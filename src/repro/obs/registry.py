@@ -114,6 +114,27 @@ class HistogramSeries:
         return self.hist.total
 
 
+class _Children(dict):
+    """Values computed once per key, on first use.
+
+    The registry's hooks key child series by the raw values they see
+    (enum members, node names), so a hot event skips the enum
+    ``value`` property and the ``labels`` call; a key is resolved
+    through :meth:`MetricFamily.labels` only the first time, so
+    exposition still lists only the series that saw an event.
+    """
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, key):
+        value = self[key] = self._resolve(key)
+        return value
+
+
 class MetricFamily:
     """A named metric with a fixed label schema and many series.
 
@@ -364,49 +385,67 @@ class MetricsRegistry:
 
         simulator = cluster.simulator
 
+        send_series = _Children(
+            lambda key: sends.labels(key[0].value, key[1]))
+        deliver_series = _Children(
+            lambda key: delivers.labels(key[0].value, key[1]))
+        transition_series = _Children(
+            lambda key: transitions.labels(key[0].value, key[1]))
+        write_series = _Children(
+            lambda key: writes.labels(key[0], key[1].value,
+                                      "true" if key[2] else "false"))
+        open_series = _Children(txns_open.labels)
+        in_doubt_series = _Children(in_doubt.labels)
+        harden_series = _Children(hardens.labels)
+        pending_series = _Children(forces_pending.labels)
+        lock_wait_series = _Children(lock_waits.labels)
+        waiter_series = _Children(lock_waiters.labels)
+        held_series = _Children(locks_held.labels)
+        value_of = _Children(lambda member: member.value)
+
         def install(hook_list: list, hook) -> None:
             hook_list.append(hook)
             self._installed.append((hook_list, hook))
 
         def on_send(message) -> None:
-            sends.labels(message.msg_type.value, message.src).inc()
+            send_series[message.msg_type, message.src].inc()
 
         def on_deliver(message) -> None:
-            delivers.labels(message.msg_type.value, message.dst).inc()
+            deliver_series[message.msg_type, message.dst].inc()
 
         def on_transition(node, txn_id, old, new) -> None:
-            state = new.value
-            transitions.labels(state, node).inc()
+            transition_series[new, node].inc()
             key = (txn_id, node)
             if old is None:
                 self._open[key] = True
-                txns_open.labels(node).inc()
+                open_series[node].inc()
+            state = value_of[new]
             if state == _IN_DOUBT:
                 self._in_doubt_since[key] = simulator.now
-                in_doubt.labels(node).inc()
-            elif old is not None and old.value == _IN_DOUBT:
+                in_doubt_series[node].inc()
+            elif old is not None and value_of[old] == _IN_DOUBT:
                 since = self._in_doubt_since.pop(key, None)
-                in_doubt.labels(node).dec()
+                in_doubt_series[node].dec()
                 if since is not None:
                     residency.labels().observe(simulator.now - since)
             if state in _SETTLED and self._open.pop(key, False):
-                txns_open.labels(node).dec()
+                open_series[node].dec()
 
         def on_write(record) -> None:
-            writes.labels(record.node, record.record_type.value,
-                          "true" if record.forced else "false").inc()
+            write_series[record.node, record.record_type,
+                         record.forced].inc()
             if record.forced:
                 self._force_pending[(record.node, record.lsn)] = \
                     simulator.now
-                forces_pending.labels(record.node).inc()
+                pending_series[record.node].inc()
 
         def on_flush(durable) -> None:
             for record in durable:
-                hardens.labels(record.node).inc()
+                harden_series[record.node].inc()
                 since = self._force_pending.pop(
                     (record.node, record.lsn), None)
                 if since is not None:
-                    forces_pending.labels(record.node).dec()
+                    pending_series[record.node].dec()
                     force_latency.labels().observe(simulator.now - since)
 
         def on_transaction(record) -> None:
@@ -439,22 +478,22 @@ class MetricsRegistry:
                 node_name = node.name
 
                 def on_wait(txn_id, key, mode, _node=node_name):
-                    lock_waits.labels(_node).inc()
-                    lock_waiters.labels(_node).inc()
+                    lock_wait_series[_node].inc()
+                    waiter_series[_node].inc()
                     self._wait_since[(_node, txn_id, key)] = simulator.now
 
                 def on_grant(txn_id, key, mode, _node=node_name):
-                    locks_held.labels(_node).inc()
+                    held_series[_node].inc()
                     self._grant_since[(_node, txn_id, key)] = simulator.now
                     since = self._wait_since.pop((_node, txn_id, key),
                                                  None)
                     if since is not None:
-                        lock_waiters.labels(_node).dec()
+                        waiter_series[_node].dec()
                         lock_wait_time.labels().observe(
                             simulator.now - since)
 
                 def on_release(txn_id, key, _node=node_name):
-                    locks_held.labels(_node).dec()
+                    held_series[_node].dec()
                     since = self._grant_since.pop((_node, txn_id, key),
                                                   None)
                     if since is not None:

@@ -17,9 +17,10 @@ continuously:
 * **unacked forces** — forced log writes whose ``harden`` (the I/O
   completion ack) never arrived.
 
-:meth:`Watchdog.scan` runs over any entry sequence;
-:meth:`Watchdog.attach` runs the same detectors live by carrying an
-internal :class:`~repro.obs.journal.JournalRecorder`.  Findings feed
+The detectors are one fold over journal rows (:class:`WatchdogScan`).
+:meth:`Watchdog.scan` packs any entry sequence into rows and folds
+them; :meth:`Watchdog.attach` runs the same fold live over the rows of
+an internal :class:`~repro.obs.journal.JournalRecorder`.  Findings feed
 :class:`~repro.obs.report.RunReport` and
 :func:`prometheus_text` — a text-exposition snapshot in the format the
 future TCP transport will serve on a metrics port.
@@ -29,8 +30,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.journal import (SETTLED_STATES, JournalEntry,
-                               JournalRecorder)
+from repro.obs.journal import (DELIVER, GRANT, HARDEN, SEND,
+                               SETTLED_STATES, TRANSITION, WAIT, WRITE,
+                               JournalEntry, JournalRecorder, JournalRows)
 
 #: Detector names, in report order (all always appear in the
 #: Prometheus exposition, zero-valued when quiet).  ``link_down`` is an
@@ -85,7 +87,8 @@ class Watchdog:
                  lock_wait_threshold: float = 50.0) -> None:
         self.in_doubt_threshold = in_doubt_threshold
         self.lock_wait_threshold = lock_wait_threshold
-        self._recorder: Optional[JournalRecorder] = None
+        #: The internal recorder :meth:`attach` creates.
+        self.recorder: Optional[JournalRecorder] = None
         self._external: List[WatchdogFinding] = []
 
     # ------------------------------------------------------------------
@@ -93,27 +96,29 @@ class Watchdog:
     # ------------------------------------------------------------------
     def attach(self, cluster) -> "Watchdog":
         """Record live through an internal journal recorder."""
-        if self._recorder is None:
-            self._recorder = JournalRecorder()
-        self._recorder.attach(cluster)
+        if self.recorder is None:
+            self.recorder = JournalRecorder()
+        self.recorder.attach(cluster)
         return self
 
     def detach(self) -> None:
-        if self._recorder is not None:
-            self._recorder.detach()
+        if self.recorder is not None:
+            self.recorder.detach()
 
     @property
     def attached(self) -> bool:
-        return self._recorder is not None and self._recorder.attached
+        return self.recorder is not None and self.recorder.attached
 
     def findings(self) -> List[WatchdogFinding]:
         """Scan the live recorder's journal so far."""
-        if self._recorder is None:
+        if self.recorder is None:
             return []
-        return self.scan(self._recorder.entries())
+        scan = self.incremental()
+        scan.feed_rows(self.recorder.rows)
+        return scan.findings()
 
     def entries(self, start: int = 0) -> List[JournalEntry]:
-        return self._recorder.entries(start) if self._recorder else []
+        return self.recorder.entries(start) if self.recorder else []
 
     def record_external(self, finding: WatchdogFinding) -> None:
         """File a finding from outside the journal (e.g. the transport
@@ -128,7 +133,8 @@ class Watchdog:
     # ------------------------------------------------------------------
     def scan(self, entries: Sequence[JournalEntry],
              end_time: Optional[float] = None) -> List[WatchdogFinding]:
-        """Run all four detectors; findings ordered by (at, detector)."""
+        """Run all four detectors over entry objects (packed into rows
+        first); findings ordered by (at, detector)."""
         scan = self.incremental()
         scan.feed(entries)
         return scan.findings(end_time)
@@ -140,77 +146,102 @@ class Watchdog:
 
 
 class WatchdogScan:
-    """The four detectors as a fold over journal entries.
+    """The four detectors as a fold over journal rows.
 
     Carries only what is still open — in-doubt windows, parked lock
     requests, undelivered sends, unsettled last states, unhardened
     forces — plus the findings already closed, so feeding the journal
     in pieces costs the same as reading it once and gives the same
     findings as one scan over the whole of it.
+
+    A scan folds one :class:`~repro.obs.journal.JournalRows` store and
+    keys its state by that store's string ids: either a recorder's
+    (:meth:`feed_rows`) or its own, into which :meth:`feed` packs entry
+    objects.
     """
 
     def __init__(self, watchdog: Watchdog) -> None:
         self.watchdog = watchdog
+        self._rows: Optional[JournalRows] = None
+        #: eid -> row of the entries :meth:`feed` packed.
+        self._row_of: Optional[Dict[int, int]] = None
         self._closed: List[WatchdogFinding] = []
-        self._in_doubt: Dict[Tuple[str, str], float] = {}
-        self._waiting: Dict[Tuple[str, str, str], float] = {}
-        self._sends: Dict[int, JournalEntry] = {}
-        self._unsettled: Dict[Tuple[str, str], JournalEntry] = {}
-        self._forces: Dict[Tuple[str, int], JournalEntry] = {}
+        # Keyed by string ids; values are the row fields findings need.
+        self._in_doubt: Dict[Tuple[int, int], float] = {}
+        self._waiting: Dict[Tuple[int, int, int], float] = {}
+        self._sends: Dict[int, Tuple[float, int, int, int, int]] = {}
+        self._unsettled: Dict[Tuple[int, int], Tuple[str, float]] = {}
+        self._forces: Dict[Tuple[int, int], Tuple[float, int, int]] = {}
         self._last_time = 0.0
 
     def feed(self, entries: Iterable[JournalEntry]) -> None:
-        watchdog = self.watchdog
-        for entry in entries:
-            if entry.t > self._last_time:
-                self._last_time = entry.t
-            kind = entry.kind
-            if kind == "transition":
-                if entry.txn is not None:
-                    self._transition(entry)
-            elif kind == "wait":
-                if entry.txn is not None and entry.ref is not None:
-                    self._waiting.setdefault(
-                        (entry.node, entry.txn, entry.ref), entry.t)
-            elif kind == "grant":
-                start = self._waiting.pop(
-                    (entry.node, entry.txn, entry.ref), None)
-                if start is not None and \
-                        entry.t - start >= watchdog.lock_wait_threshold:
-                    burn = entry.t - start
-                    self._closed.append(WatchdogFinding(
-                        "lock_wait", entry.txn, entry.node, entry.t,
-                        f"waited {burn:g} for lock {entry.ref!r} "
-                        f"(threshold {watchdog.lock_wait_threshold:g})",
-                        burn))
-            elif kind == "send":
-                self._sends[entry.eid] = entry
-            elif kind == "deliver":
-                for parent in entry.parents:
-                    self._sends.pop(parent, None)
-            elif kind == "write":
-                if entry.forced:
-                    self._forces[(entry.node, entry.lsn)] = entry
-            elif kind == "harden":
-                self._forces.pop((entry.node, entry.lsn), None)
+        """Fold entry objects (a loaded journal, or a piece of one)."""
+        if self._rows is None:
+            self._rows, self._row_of = JournalRows(), {}
+        elif self._row_of is None:
+            raise ValueError("this scan folds a recorder's rows")
+        start = len(self._rows)
+        self._rows.extend(entries, self._row_of)
+        self.feed_rows(self._rows, start)
 
-    def _transition(self, entry: JournalEntry) -> None:
-        key = (entry.txn, entry.node)
-        if entry.ref == _IN_DOUBT_STATE:
-            self._in_doubt.setdefault(key, entry.t)
+    def feed_rows(self, rows: JournalRows, start: int = 0) -> int:
+        """Fold ``rows`` from row ``start`` on; returns the row to start
+        from next time."""
+        if self._rows is None:
+            self._rows = rows
+        elif rows is not self._rows:
+            raise ValueError("a WatchdogScan folds one journal store")
+        name = self._name
+        for index, (t, kind, node, txn, _, ref, peer, lsn, forced, p0,
+                    p1) in enumerate(rows.rows(start), start):
+            self._last_time = max(self._last_time, t)
+            if kind == TRANSITION:
+                if txn >= 0:
+                    self._transition(t, node, txn, name(ref))
+            elif kind == WAIT:
+                if txn >= 0 and ref >= 0:
+                    self._waiting.setdefault((node, txn, ref), t)
+            elif kind == GRANT:
+                begun = self._waiting.pop((node, txn, ref), None)
+                threshold = self.watchdog.lock_wait_threshold
+                if begun is not None and t - begun >= threshold:
+                    self._closed.append(WatchdogFinding(
+                        "lock_wait", name(txn), name(node), t,
+                        f"waited {t - begun:g} for lock {name(ref)!r} "
+                        f"(threshold {threshold:g})", t - begun))
+            elif kind == SEND:
+                self._sends[index] = (t, node, txn, ref, peer)
+            elif kind == DELIVER:
+                self._sends.pop(p0, None)
+                self._sends.pop(p1, None)
+            elif kind == WRITE:
+                if forced == 1:
+                    self._forces[(node, lsn)] = (t, txn, ref)
+            elif kind == HARDEN:
+                self._forces.pop((node, lsn), None)
+        return len(rows)
+
+    def _name(self, ident: int) -> Optional[str]:
+        return self._rows.ids.strings[ident] if ident >= 0 else None
+
+    def _transition(self, t: float, node: int, txn: int,
+                    state: Optional[str]) -> None:
+        key = (txn, node)
+        if state == _IN_DOUBT_STATE:
+            self._in_doubt.setdefault(key, t)
         elif key in self._in_doubt:
-            residency = entry.t - self._in_doubt.pop(key)
+            residency = t - self._in_doubt.pop(key)
             threshold = self.watchdog.in_doubt_threshold
             if residency >= threshold:
                 self._closed.append(WatchdogFinding(
-                    "in_doubt", entry.txn, entry.node, entry.t,
+                    "in_doubt", self._name(txn), self._name(node), t,
                     f"in-doubt for {residency:g} "
                     f"(threshold {threshold:g})", residency))
         # Only a span whose *last* state is unsettled is an orphan.
-        if entry.ref in SETTLED_STATES:
+        if state in SETTLED_STATES:
             self._unsettled.pop(key, None)
         else:
-            self._unsettled[key] = entry
+            self._unsettled[key] = (state, t)
 
     def findings(self, end_time: Optional[float] = None
                  ) -> List[WatchdogFinding]:
@@ -218,32 +249,32 @@ class WatchdogScan:
         ``end_time`` (default: the newest entry fed so far)."""
         if end_time is None:
             end_time = self._last_time
+        name = self._name
         out = list(self._closed)
         for (txn, node), start in self._in_doubt.items():
             out.append(WatchdogFinding(
-                "in_doubt", txn, node, end_time,
+                "in_doubt", name(txn), name(node), end_time,
                 f"still in doubt at journal end (since t={start:g})",
                 end_time - start))
         for (node, txn, key), start in self._waiting.items():
             out.append(WatchdogFinding(
-                "lock_wait", txn, node, end_time,
-                f"lock {key!r} never granted (waiting since "
+                "lock_wait", name(txn), name(node), end_time,
+                f"lock {name(key)!r} never granted (waiting since "
                 f"t={start:g})", end_time - start))
-        for send in self._sends.values():
+        for t, node, txn, ref, peer in self._sends.values():
             out.append(WatchdogFinding(
-                "orphan", send.txn, send.node, send.t,
-                f"{send.ref} to {send.peer} sent at t={send.t:g} "
+                "orphan", name(txn), name(node), t,
+                f"{name(ref)} to {name(peer)} sent at t={t:g} "
                 "never delivered"))
-        for (txn, node), entry in self._unsettled.items():
+        for (txn, node), (state, t) in self._unsettled.items():
             out.append(WatchdogFinding(
-                "orphan", txn, node, end_time,
-                f"span left open: last state {entry.ref!r} "
-                f"at t={entry.t:g}"))
-        for (node, lsn), write in self._forces.items():
+                "orphan", name(txn), name(node), end_time,
+                f"span left open: last state {state!r} at t={t:g}"))
+        for (node, lsn), (t, txn, ref) in self._forces.items():
             out.append(WatchdogFinding(
-                "unacked_force", write.txn, node, end_time,
-                f"forced {write.ref} (lsn {lsn}) written at "
-                f"t={write.t:g} never hardened"))
+                "unacked_force", name(txn), name(node), end_time,
+                f"forced {name(ref)} (lsn {lsn if lsn >= 0 else None}) "
+                f"written at t={t:g} never hardened"))
         out += self.watchdog._external
         out.sort(key=lambda f: (f.at, DETECTORS.index(f.detector),
                                 f.node, f.txn or "", f.message))

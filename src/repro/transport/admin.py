@@ -24,7 +24,7 @@ route          body
 
 The PR 7 watchdog detectors run *continuously* here: a recurring
 :meth:`LiveClock.timer` (deliberately untracked, so it never blocks
-quiescence) feeds the journal entries recorded since the last tick to
+quiescence) feeds the journal rows recorded since the last tick to
 an incremental scan every ``watchdog_interval`` seconds and publishes
 per-detector finding counts as registry gauges — a tick costs what the
 last interval recorded, however long the server has been up.
@@ -113,11 +113,11 @@ class AdminServer:
     def _scan_now(self) -> List:
         if self.watchdog is None:
             return []
-        source = self.recorder if self.recorder is not None \
-            else self.watchdog
-        tail = source.entries(self._cursor)
-        self._cursor += len(tail)
-        self._scan.feed(tail)
+        recorder = self.recorder if self.recorder is not None \
+            else self.watchdog.recorder
+        if recorder is not None:
+            self._cursor = self._scan.feed_rows(recorder.rows,
+                                                self._cursor)
         self.findings = self._scan.findings(
             end_time=self.cluster.simulator.now)
         if self._findings_gauge is not None:

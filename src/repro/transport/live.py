@@ -344,9 +344,9 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
 
     The full operations plane attaches before traffic starts: a
     streaming :class:`~repro.obs.registry.MetricsRegistry`, the
-    flight-recorder :class:`~repro.obs.journal.JournalRecorder`
-    (columnar), a :class:`~repro.obs.watchdog.Watchdog` fed the
-    journal's new tail every couple of seconds by
+    flight-recorder :class:`~repro.obs.journal.JournalRecorder`, a
+    :class:`~repro.obs.watchdog.Watchdog` fed the journal's new rows
+    every couple of seconds by
     the :class:`~repro.transport.admin.AdminServer` (bound on
     ``admin_host:admin_port`` unless ``admin_port`` is None), and an
     :class:`~repro.ops.OperatorConsole` whose heuristic verbs the
@@ -376,7 +376,7 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
     cluster = LiveCluster(config, nodes=list(nodes), seed=seed,
                           host=host, base_port=base_port, log_dir=log_dir)
     registry = MetricsRegistry().attach(cluster)
-    recorder = JournalRecorder(columnar=True).attach(cluster)
+    recorder = JournalRecorder().attach(cluster)
     watchdog = Watchdog()
     console = OperatorConsole(cluster)
     admin = AdminServer(cluster, registry=registry, recorder=recorder,

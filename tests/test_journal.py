@@ -23,6 +23,7 @@ from repro.obs import (
     CostLedger,
     JournalEntry,
     JournalRecorder,
+    JournalRows,
     SpanTracer,
     RunReport,
     Watchdog,
@@ -49,10 +50,10 @@ def default_queue():
     Simulator.default_queue_class = saved
 
 
-def record_simple_run(columnar=False, txns=2):
+def record_simple_run(txns=2):
     """Journal ``txns`` 3-node PA commits; returns (entries, cluster)."""
     cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s1", "s2"])
-    recorder = JournalRecorder(columnar=columnar).attach(cluster)
+    recorder = JournalRecorder().attach(cluster)
     for i in range(txns):
         cluster.run_transaction(
             updating_spec("c", ["s1", "s2"], txn_id=f"T{i}"))
@@ -60,8 +61,9 @@ def record_simple_run(columnar=False, txns=2):
     return recorder.entries(), cluster
 
 
-def record_contended_run():
-    """Two transactions racing for one key: exercises wait->grant."""
+def contended_recorder():
+    """Two transactions racing for one key: exercises wait->grant.
+    Returns (recorder, outcomes)."""
     cluster = Cluster(BASIC_2PC, nodes=["c", "s"])
     recorder = JournalRecorder().attach(cluster)
     from repro.core.spec import flat_tree
@@ -74,7 +76,13 @@ def record_contended_run():
         handles.append(cluster.start_transaction(spec))
     cluster.run()
     recorder.detach()
-    return recorder.entries(), [h.outcome for h in handles]
+    return recorder, [h.outcome for h in handles]
+
+
+def record_contended_run():
+    """The contended run's (entries, outcomes)."""
+    recorder, outcomes = contended_recorder()
+    return recorder.entries(), outcomes
 
 
 # ----------------------------------------------------------------------
@@ -177,11 +185,6 @@ class TestJournalRecorder:
         assert all(e.phase in ("committing", "preparing")
                    for e in forced_commit_writes)
 
-    def test_columnar_storage_is_identical(self):
-        plain, __ = record_simple_run(columnar=False)
-        columnar, __ = record_simple_run(columnar=True)
-        assert normalize_txn_ids(columnar) == normalize_txn_ids(plain)
-
     def test_attach_contract(self):
         first = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
         second = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
@@ -257,6 +260,128 @@ class TestJournalSerialisation:
         assert [e.txn for e in normalized] == ["t0", "t1", "t0", None]
         # Input untouched.
         assert entries[0].txn == "txn-99"
+
+
+# ----------------------------------------------------------------------
+# Row store: rendered straight from the rows
+# ----------------------------------------------------------------------
+def assert_rows_render_identically(recorder, meta=None):
+    """The row renderer is byte-identical to ``journal_to_jsonl`` over
+    the materialised entries, and those round-trip through the
+    reader."""
+    text = recorder.to_jsonl(meta=meta)
+    entries = recorder.entries()
+    assert text == journal_to_jsonl(entries, meta=meta)
+    __, back = journal_from_jsonl(text)
+    assert back == entries
+    assert [recorder[0], recorder[-1]] == [entries[0], entries[-1]]
+
+
+def record_cell(protocol, variant, seed=13, txns=6):
+    """A generated workload under one audit cell's configuration."""
+    from repro.obs.audit import cell_config
+    from repro.sim.randomness import RandomStream
+    from repro.workload.generator import WorkloadGenerator, WorkloadParams
+    names = ["n0", "n1", "n2"]
+    cluster = Cluster(cell_config(protocol, variant), nodes=names,
+                      seed=seed)
+    recorder = JournalRecorder().attach(cluster)
+    generator = WorkloadGenerator(
+        names, WorkloadParams(read_only_fraction=0.3, key_space=4),
+        RandomStream(seed))
+    for spec in generator.stream(txns):
+        cluster.run_transaction(spec)
+    recorder.detach()
+    return recorder
+
+
+class TestJournalRows:
+    @pytest.mark.parametrize("variant", ["baseline", "read_only",
+                                         "last_agent", "group_commit"])
+    @pytest.mark.parametrize("protocol", ["basic", "pa", "pn", "pc"])
+    def test_renders_identically(self, protocol, variant):
+        recorder = record_cell(protocol, variant)
+        assert len(recorder) > 0
+        assert_rows_render_identically(
+            recorder, meta={"protocol": protocol, "variant": variant})
+
+    def test_contended_run_renders_identically(self):
+        recorder, outcomes = contended_recorder()
+        assert outcomes == ["commit", "commit"]
+        assert any(e.kind == "wait" for e in recorder.entries())
+        assert_rows_render_identically(recorder)
+
+    def test_kernel_events_render_identically(self):
+        cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
+        recorder = JournalRecorder(kernel_events=True).attach(cluster)
+        cluster.run_transaction(updating_spec("c", ["s"], txn_id="K1"))
+        recorder.detach()
+        assert any(e.kind == "kernel" for e in recorder.entries())
+        assert_rows_render_identically(recorder)
+
+    def test_integer_fault_times_journal_as_floats(self):
+        """Faults scheduled at integer times put an int on the
+        simulator clock; the store keeps ``t`` as a double, so those
+        entries read and render as floats (``5.0``, never ``5``) on
+        every path."""
+        cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s1", "s2"])
+        recorder = JournalRecorder().attach(cluster)
+        cluster.crash_at("s1", 5)
+        cluster.restart_at("s1", 40)
+        cluster.start_transaction(
+            updating_spec("c", ["s1", "s2"], txn_id="crash-1"))
+        cluster.run_until(400)
+        recorder.detach()
+        entries = recorder.entries()
+        assert all(type(e.t) is float for e in entries)
+        restarted = [e for e in entries if e.t == 40]
+        assert restarted and all(e.node == "s1" for e in restarted)
+        assert '"t":40.0,' in recorder.to_jsonl()
+        assert_rows_render_identically(recorder)
+
+    @pytest.mark.live
+    def test_live_twin_journal_renders_identically(self, tmp_path):
+        import asyncio
+        from repro.transport import LiveCluster
+        from repro.transport.twin import twin_specs
+
+        async def scenario():
+            nodes = ["n0", "n1", "n2"]
+            cluster = LiveCluster(PRESUMED_ABORT.with_options(io_latency=0.0),
+                                  nodes=nodes, seed=11,
+                                  log_dir=str(tmp_path))
+            recorder = JournalRecorder().attach(cluster)
+            await cluster.start()
+            try:
+                for spec in twin_specs(11, 4, nodes):
+                    await cluster.run_transaction(spec)
+            finally:
+                await cluster.stop()
+            recorder.detach()
+            return recorder
+
+        recorder = asyncio.run(scenario())
+        assert any(e.kind == "harden" for e in recorder.entries())
+        assert_rows_render_identically(recorder, meta={"live": True})
+
+    def test_packing_translates_and_drops_parents(self):
+        """Packing entry objects renumbers them by row and keeps only
+        the parents that are still in the journal."""
+        entries, __ = record_simple_run(txns=1)
+        kept = [e for e in entries if e.kind != "send"]
+        rows = JournalRows()
+        rows.extend(kept, {})
+        row_of = {e.eid: row for row, e in enumerate(kept)}
+        for entry, packed in zip(kept, rows.entries()):
+            assert packed.signature() == entry.signature()
+            assert packed.parents == tuple(
+                row_of[p] for p in entry.parents if p in row_of)
+        crowded = [JournalEntry(i, 0.0, "send", "a", None, None)
+                   for i in range(3)]
+        crowded.append(JournalEntry(3, 1.0, "deliver", "b", None, None,
+                                    parents=[0, 1, 2]))
+        with pytest.raises(ValueError, match="3 parents"):
+            JournalRows().extend(crowded, {})
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +692,7 @@ class TestJournalCLI:
         assert cli_main(["journal", "presumed_abort", "--txns", "3",
                          "--out", str(a)]) == 0
         assert cli_main(["journal", "presumed_abort", "--txns", "3",
-                         "--out", str(b), "--columnar"]) == 0
+                         "--out", str(b)]) == 0
         assert cli_main(["diff", str(a), str(b)]) == 0
         assert "journals equivalent" in capsys.readouterr().out
 

@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.config import PRESUMED_ABORT
-from repro.obs import (CostLedger, JournalRecorder, MetricsRegistry,
-                       SpanTracer, Watchdog)
+from repro.obs import (CostLedger, JournalRecorder, JournalRows,
+                       MetricsRegistry, SpanTracer, Watchdog)
 
 from tests.conftest import updating_spec
 from tests.test_journal import _hook_state
@@ -217,12 +217,33 @@ def fed_in_pieces(watchdog, entries, sizes, end_time=None):
     return scan.findings(end_time)
 
 
+def rows_fed_in_pieces(watchdog, entries, sizes):
+    """The admin tick's shape: a row store that grows between ticks,
+    each tick folding the rows past its cursor."""
+    rows = JournalRows()
+    row_of = {}
+    scan = watchdog.incremental()
+    cursor = 0
+    position = 0
+    for size in itertools.cycle(sizes):
+        if position >= len(entries):
+            break
+        rows.extend(entries[position:position + size], row_of)
+        position += size
+        cursor = scan.feed_rows(rows, cursor)
+        assert cursor == len(rows)
+    return scan.findings()
+
+
 def assert_incremental_matches(entries):
     watchdog = Watchdog(in_doubt_threshold=0.0, lock_wait_threshold=0.0)
     expected = full_rescan(watchdog, entries)
-    assert as_rows(watchdog.scan(entries)) == expected
+    whole = watchdog.scan(entries)
+    assert as_rows(whole) == expected
     for sizes in ([1], [7], [1, 64, 3]):
         assert as_rows(fed_in_pieces(watchdog, entries, sizes)) == expected
+        assert [f.to_dict() for f in rows_fed_in_pieces(
+            watchdog, entries, sizes)] == [f.to_dict() for f in whole]
     # Mid-journal: what is open at the cut is reported as open.
     cut = entries[:len(entries) // 2]
     assert as_rows(fed_in_pieces(watchdog, cut, [5])) == \
@@ -259,25 +280,31 @@ class TestIncrementalScan:
         assert cell.journal
         assert_incremental_matches(cell.journal)
 
-    def test_admin_tick_reads_only_the_tail(self):
-        """The admin plane's recurring scan consumes the journal past a
-        cursor (a columnar recorder materialises just that tail)."""
+    def test_admin_tick_reads_only_the_tail(self, monkeypatch):
+        """The admin plane's recurring scan folds the recorder's rows
+        past a cursor and builds no entry objects."""
+        from repro.obs.journal import JournalEntry
         from repro.transport.admin import AdminServer
         cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
-        recorder = JournalRecorder(columnar=True).attach(cluster)
+        recorder = JournalRecorder().attach(cluster)
         admin = AdminServer(cluster, recorder=recorder,
                             watchdog=Watchdog(in_doubt_threshold=0.0))
-        reads = []
-        entries = recorder.entries
-        recorder.entries = lambda start=0: (reads.append(start),
-                                            entries(start))[1]
+        built = []
+        init = JournalEntry.__init__
+
+        def counting_init(entry, *args, **kwargs):
+            built.append(1)
+            init(entry, *args, **kwargs)
+
         for index in range(3):
             cluster.run_transaction(
                 updating_spec("c", ["s"], txn_id=f"tick-{index}"))
+            monkeypatch.setattr(JournalEntry, "__init__", counting_init)
             found = admin._scan_now()
-            assert as_rows(found) == as_rows(
-                Watchdog(in_doubt_threshold=0.0).scan(
-                    entries(), end_time=cluster.simulator.now))
-        # Three ticks, each starting where the one before stopped.
-        assert reads[0] == 0 and reads == sorted(set(reads))
-        assert admin._cursor == len(recorder)
+            monkeypatch.setattr(JournalEntry, "__init__", init)
+            assert not built
+            # Each tick stops exactly at the journal's end.
+            assert admin._cursor == len(recorder)
+            assert [f.to_dict() for f in found] == [
+                f.to_dict() for f in Watchdog(in_doubt_threshold=0.0).scan(
+                    recorder.entries(), end_time=cluster.simulator.now)]
