@@ -382,7 +382,8 @@ def run_retention_gate() -> int:
     protocol x optimization cell, sequential and ~10 in flight, must
     leave zero cyclic garbage and nothing at rest; the two
     perfbench-shaped workloads at 4000 transactions must also keep
-    flat memory within their budgets and flat time.  Only
+    flat memory within their budgets and flat time, and ``serve`` over
+    TCP its budget, flat quarters and a drain without a spike.  Only
     deterministic measures: object counts, tracemalloc bytes and lines
     executed.  Returns a failure count."""
     from repro.verify import retention
@@ -418,7 +419,18 @@ def run_retention_gate() -> int:
         for problem in problems:
             print(f"  {name}: {problem}", file=sys.stderr)
         failures += len(problems)
-    return failures
+    report = retention.run_serve()
+    problems = retention.serve_problems(report)
+    print(f"  serve: {report.txns} txns over TCP, "
+          f"{report.bytes_per_txn():.0f} B/txn resident (budget "
+          f"{retention.SERVE_BUDGET:.0f}); quarter 1 vs 4: "
+          f"{report.bytes_per_txn(1):.0f} vs {report.bytes_per_txn(4):.0f} "
+          f"B/txn in small blocks; drain peak "
+          f"{(report.drain_peak_bytes - report.peak_bytes) / 2**20:+.1f} MB "
+          f"over the run's")
+    for problem in problems:
+        print(f"  serve: {problem}", file=sys.stderr)
+    return failures + len(problems)
 
 
 def main(argv=None) -> int:

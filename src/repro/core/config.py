@@ -8,7 +8,7 @@ families plus the Presumed Commit extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -202,6 +202,27 @@ class ProtocolConfig:
     def with_options(self, **changes) -> "ProtocolConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
+
+    def live_timing(self) -> "ProtocolConfig":
+        """This configuration in real time: every :data:`LIVE_TIMING`
+        field still at its stock default (a duration in simulated time
+        units) takes its value in seconds; fields set by the caller are
+        kept.  :class:`~repro.transport.live.LiveCluster` applies it.
+        """
+        stock = {f.name: f.default for f in fields(self)}
+        return replace(self, **{
+            name: value for name, value in LIVE_TIMING.items()
+            if getattr(self, name) == stock[name]})
+
+
+#: The live timing profile, in seconds: the durations whose stock
+#: values are simulated time units.  A log I/O completes on the next
+#: loop turn (the real cost is the fsync itself; 0.1 s would be slept
+#: for real on every force), and recovery retries are paced for a
+#: localhost cluster.  The timeouts stay as configured: their stock
+#: value is "wait forever", and arming them costs a live server timers
+#: that hold each finished transaction until they fire.
+LIVE_TIMING = dict(io_latency=0.0, retry_interval=0.15)
 
 
 #: The Section 2 baseline: no optimizations at all (not even read-only).

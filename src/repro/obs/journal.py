@@ -48,8 +48,10 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import deque
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 #: Journal wire-format version; bumped on any incompatible change.
 SCHEMA = "repro-journal/1"
@@ -64,6 +66,21 @@ SETTLED_STATES = frozenset({
     "committed", "aborted", "forgotten", "read-only-done",
     "heuristic-committed", "heuristic-aborted",
 })
+
+#: (txn, node) states after which the node keeps nothing of the
+#: transaction; the recorder forgets the pair too, FORGET_WINDOW such
+#: pairs later.
+TERMINAL_STATES = frozenset({"forgotten", "read-only-done"})
+
+#: Terminal (txn, node) pairs whose phase and last entry the recorder
+#: still holds.  A pair leaves the window only once its log writes have
+#: all hardened (an END record hardens with the node's next force,
+#: however late); other entries that follow a terminal transition — a
+#: straggling message answered from the log — keep their terminal
+#: phase stamp while the pair is in the window (the twin, torture,
+#: chaos and live-torture corpora see them at most two terminal pairs
+#: later) and read as idle past it.
+FORGET_WINDOW = 256
 
 #: Entry kinds.  Every store interns them first, so a kind's id is its
 #: index here in every store and folds compare ids, not strings.
@@ -80,6 +97,11 @@ ROW = struct.Struct("<d6iqbqq")
 #: A rendered entry: ``journal_to_jsonl``'s sorted-key compact line.
 _LINE = ('{"eid":%d,"forced":%s,"kind":%s,"lsn":%s,"node":%s,'
          '"parents":[%s],"peer":%s,"phase":%s,"ref":%s,"t":%r,"txn":%s}')
+
+
+def _header(meta: Optional[Dict[str, object]]) -> str:
+    return json.dumps({"schema": SCHEMA, "meta": dict(meta or {})},
+                      sort_keys=True)
 
 
 class JournalEntry:
@@ -192,25 +214,62 @@ class JournalRows:
     number); ``ids`` interns strings and ``ids.strings`` maps an id
     back.  Times are stored as doubles, so an integer clock reading
     (``Simulator.at(5)``) is journalled as ``5.0``.
+
+    With a ``segment`` path the store can :meth:`spill`: rows below a
+    cut move, still packed, to that append-only file and leave memory,
+    so a long-lived recorder holds only its recent tail.  Everything
+    that reads rows (``len``, :meth:`rows`, :meth:`entries`,
+    :meth:`render`) reads segment + tail as one journal.
     """
 
-    __slots__ = ("buf", "ids")
+    __slots__ = ("buf", "ids", "base", "segment")
 
-    def __init__(self) -> None:
+    def __init__(self, segment: Optional[str] = None) -> None:
         self.buf = bytearray()
         self.ids = _Ids()
         for kind in KINDS:
             self.ids[kind]      # interned first: a kind's id is its index
+        #: Rows spilled to the segment: the tail's first row is ``base``.
+        self.base = 0
+        self.segment = segment
+        if segment is not None:
+            open(segment, "wb").close()     # a new journal starts empty
 
     def __len__(self) -> int:
-        return len(self.buf) // ROW.size
+        return self.base + len(self.buf) // ROW.size
+
+    def spill(self, upto: int) -> None:
+        """Move rows below ``upto`` to the segment (no-op without one)."""
+        if self.segment is None or upto <= self.base:
+            return
+        cut = (upto - self.base) * ROW.size
+        with open(self.segment, "ab") as handle, \
+                memoryview(self.buf) as view:
+            handle.write(view[:cut])
+        del self.buf[:cut]
+        self.base = upto
+
+    def _packed(self, start: int = 0, stop: Optional[int] = None
+               ) -> Union[bytes, bytearray]:
+        """Rows ``start:stop`` as packed bytes, from segment and tail."""
+        stop = len(self) if stop is None else min(stop, len(self))
+        if start >= stop:
+            return b""
+        data = b""
+        if start < self.base:
+            with open(self.segment, "rb") as handle:
+                handle.seek(start * ROW.size)
+                data = handle.read((min(stop, self.base) - start) * ROW.size)
+        lo = max(start - self.base, 0) * ROW.size
+        hi = (stop - self.base) * ROW.size
+        tail = self.buf[lo:hi] if hi > lo else b""
+        return data + tail if data else tail
 
     def rows(self, start: int = 0, stop: Optional[int] = None
              ) -> Iterable[Tuple]:
         """Unpacked rows ``start:stop`` (unpacked from a copy, so
         appending meanwhile is safe)."""
-        end = None if stop is None else stop * ROW.size
-        return ROW.iter_unpack(self.buf[start * ROW.size:end])
+        return ROW.iter_unpack(self._packed(start, stop))
 
     def entries(self, start: int = 0, stop: Optional[int] = None
                 ) -> List[JournalEntry]:
@@ -246,23 +305,48 @@ class JournalRows:
                 -1 if entry.forced is None else entry.forced,
                 parents[0], parents[1])
 
+    def render(self, meta: Optional[Dict[str, object]] = None,
+               chunk: int = 4096) -> Iterator[str]:
+        """:meth:`to_jsonl` in pieces of at most ``chunk`` entries, for
+        writing a journal out without holding all of its text."""
+        encoded = self._encoded()
+        yield _header(meta)
+        for start in range(0, len(self), chunk):
+            yield "\n" + "\n".join(self._lines(encoded, start,
+                                               start + chunk))
+
     def to_jsonl(self, meta: Optional[Dict[str, object]] = None) -> str:
         """Byte-identical to ``journal_to_jsonl(self.entries(), meta)``,
         rendered from the rows with each string JSON-encoded once."""
+        return "\n".join([_header(meta)]
+                         + self._lines(self._encoded(), 0, len(self)))
+
+    def _encoded(self) -> List[str]:
         # An id or ``forced`` of -1 (None) reads the last item, "null".
-        encoded = [json.dumps(s) for s in self.ids.strings] + ["null"]
-        lines = [json.dumps({"schema": SCHEMA, "meta": dict(meta or {})},
-                            sort_keys=True)]
-        append = lines.append
-        for eid, (t, kind, node, txn, phase, ref, peer, lsn, forced,
-                  p0, p1) in enumerate(self.rows()):
-            append(_LINE % (
-                eid, ("false", "true", "null")[forced], encoded[kind],
-                "null" if lsn < 0 else lsn, encoded[node],
-                "" if p0 < 0 else p0 if p1 < 0 else f"{p0},{p1}",
-                encoded[peer], encoded[phase], encoded[ref], t,
-                encoded[txn]))
-        return "\n".join(lines)
+        return [json.dumps(s) for s in self.ids.strings] + ["null"]
+
+    def _lines(self, encoded: List[str], start: int, stop: int
+               ) -> List[str]:
+        return [_LINE % (
+            eid, ("false", "true", "null")[forced], encoded[kind],
+            "null" if lsn < 0 else lsn, encoded[node],
+            "" if p0 < 0 else p0 if p1 < 0 else f"{p0},{p1}",
+            encoded[peer], encoded[phase], encoded[ref], t, encoded[txn])
+            for eid, (t, kind, node, txn, phase, ref, peer, lsn, forced,
+                      p0, p1) in enumerate(self.rows(start, stop), start)]
+
+
+def _node_of(site: str) -> str:
+    """The node a journal site belongs to (detached own-log RMs
+    journal under ``node/rm``; protocol state lives at the node)."""
+    return site.split("/", 1)[0] if "/" in site else site
+
+
+def _mode_name(mode) -> str:
+    """A lock mode's journal name (enum members carry it as their
+    value; read directly, the enum ``value`` property is a call)."""
+    name = getattr(mode, "_value_", None)
+    return str(mode) if name is None else name
 
 
 class JournalRecorder:
@@ -276,13 +360,17 @@ class JournalRecorder:
 
     ``kernel_events`` additionally journals every simulator event
     dispatch (huge — debugging only; every event name is interned).
+    ``segment`` names the file :meth:`JournalRows.spill` moves old rows
+    to (``serve`` spills what its watchdog has folded); without one the
+    whole journal stays in memory.
     """
 
-    def __init__(self, kernel_events: bool = False) -> None:
+    def __init__(self, kernel_events: bool = False,
+                 segment: Optional[str] = None) -> None:
         self.cluster = None
         self.kernel_events = kernel_events
         #: The journal itself.
-        self.rows = JournalRows()
+        self.rows = JournalRows(segment)
         self._clock = None
         self._installed: List[Tuple[list, object]] = []
         self._kernel_hook = None
@@ -290,6 +378,9 @@ class JournalRecorder:
         self._last_at_site: Dict[str, int] = {}
         self._last_txn_site: Dict[Tuple[str, str], int] = {}
         self._states: Dict[Tuple[str, str], str] = {}
+        self._terminal: "deque[Tuple[str, str]]" = deque()
+        #: (txn, node) -> log writes not hardened yet.
+        self._unhardened: Dict[Tuple[str, str], int] = {}
         self._sends: Dict[int, int] = {}          # msg_id -> send eid
         self._writes: Dict[Tuple[str, int], int] = {}  # (site, lsn) -> eid
         self._waits: Dict[Tuple[str, str, str], int] = {}
@@ -359,7 +450,7 @@ class JournalRecorder:
               peer: Optional[str] = None, lsn: int = -1, forced: int = -1,
               extra_parent: int = -1) -> int:
         rows = self.rows
-        eid = len(rows.buf) // ROW.size
+        eid = rows.base + len(rows.buf) // ROW.size
         parent = self._last_at_site.get(site, -1)
         if parent < 0:
             parent, extra_parent = extra_parent, -1
@@ -370,15 +461,13 @@ class JournalRecorder:
                              ids[phase], ids[ref], ids[peer], lsn, forced,
                              parent, extra_parent)
         self._last_at_site[site] = eid
-        if txn is not None:
+        if txn is not None and "/" not in site:
+            # Read for parent edges, which link node sites only.
             self._last_txn_site[(txn, site)] = eid
         return eid
 
     def _phase(self, txn: Optional[str], site: str) -> str:
-        # Detached own-log RMs journal under "node/rm"; protocol state
-        # lives at the owning node.
-        node = site.split("/", 1)[0]
-        return self._states.get((txn, node), IDLE_PHASE)
+        return self._states.get((txn, _node_of(site)), IDLE_PHASE)
 
     # ------------------------------------------------------------------
     # Hook bodies
@@ -392,48 +481,67 @@ class JournalRecorder:
             parent_node = getattr(context, "parent", None)
             if parent_node is not None:
                 extra = self._last_txn_site.get((txn_id, parent_node), -1)
-        state = self._states[(txn_id, node)] = new.value
+        key = (txn_id, node)
+        state = self._states[key] = new._value_
         self._emit(TRANSITION, node, txn_id, state, ref=state,
-                   peer=old.value if old is not None else None,
+                   peer=old._value_ if old is not None else None,
                    extra_parent=extra)
+        if state in TERMINAL_STATES:
+            terminal = self._terminal
+            terminal.append(key)
+            for _ in range(len(terminal) - FORGET_WINDOW):
+                key = terminal.popleft()
+                if key in self._unhardened:
+                    terminal.append(key)        # a write still to harden
+                elif self._states.get(key) in TERMINAL_STATES:
+                    # (Not if the pair came back to life since.)
+                    del self._states[key]
+                    self._last_txn_site.pop(key, None)
 
     def _on_send(self, message) -> None:
         eid = self._emit(SEND, message.src, message.txn_id,
                          self._phase(message.txn_id, message.src),
-                         ref=message.msg_type.value, peer=message.dst)
+                         ref=message.msg_type._value_, peer=message.dst)
         self._sends[message.msg_id] = eid
 
     def _on_deliver(self, message) -> None:
         self._emit(DELIVER, message.dst, message.txn_id,
                    self._phase(message.txn_id, message.dst),
-                   ref=message.msg_type.value, peer=message.src,
+                   ref=message.msg_type._value_, peer=message.src,
                    extra_parent=self._sends.pop(message.msg_id, -1))
 
     def _on_write(self, record) -> None:
         site = record.node
         eid = self._emit(WRITE, site, record.txn_id,
                          self._phase(record.txn_id, site),
-                         ref=record.record_type.value, lsn=record.lsn,
+                         ref=record.record_type._value_, lsn=record.lsn,
                          forced=record.forced)
         self._writes[(site, record.lsn)] = eid
+        key = (record.txn_id, _node_of(site))
+        self._unhardened[key] = self._unhardened.get(key, 0) + 1
 
     def _on_flush(self, durable) -> None:
+        unhardened = self._unhardened
         for record in durable:
             site = record.node
             self._emit(HARDEN, site, record.txn_id,
                        self._phase(record.txn_id, site),
-                       ref=record.record_type.value, lsn=record.lsn,
+                       ref=record.record_type._value_, lsn=record.lsn,
                        extra_parent=self._writes.pop((site, record.lsn),
                                                      -1))
+            key = (record.txn_id, _node_of(site))
+            left = unhardened.pop(key, 1) - 1
+            if left:
+                unhardened[key] = left
 
     def _on_wait(self, node: str, txn_id: str, key: str, mode) -> None:
         eid = self._emit(WAIT, node, txn_id, self._phase(txn_id, node),
-                         ref=key, peer=getattr(mode, "value", str(mode)))
+                         ref=key, peer=_mode_name(mode))
         self._waits[(node, txn_id, key)] = eid
 
     def _on_grant(self, node: str, txn_id: str, key: str, mode) -> None:
         eid = self._emit(GRANT, node, txn_id, self._phase(txn_id, node),
-                         ref=key, peer=getattr(mode, "value", str(mode)),
+                         ref=key, peer=_mode_name(mode),
                          extra_parent=self._waits.pop((node, txn_id, key),
                                                       -1))
         self._grants[(node, txn_id, key)] = eid
@@ -471,8 +579,7 @@ class JournalRecorder:
 def journal_to_jsonl(entries: Sequence[JournalEntry],
                      meta: Optional[Dict[str, object]] = None) -> str:
     """Header line + one JSON object per entry, in eid order."""
-    header = {"schema": SCHEMA, "meta": dict(meta or {})}
-    lines = [json.dumps(header, sort_keys=True)]
+    lines = [_header(meta)]
     for entry in sorted(entries, key=lambda e: e.eid):
         lines.append(json.dumps(entry.to_dict(), sort_keys=True,
                                 separators=(",", ":")))

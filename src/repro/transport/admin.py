@@ -27,7 +27,9 @@ The PR 7 watchdog detectors run *continuously* here: a recurring
 quiescence) feeds the journal rows recorded since the last tick to
 an incremental scan every ``watchdog_interval`` seconds and publishes
 per-detector finding counts as registry gauges — a tick costs what the
-last interval recorded, however long the server has been up.
+last interval recorded, however long the server has been up.  The
+folded rows are then spilled, if the recorder's store has a segment
+file, so the resident journal is the last interval's tail.
 """
 
 from __future__ import annotations
@@ -118,6 +120,9 @@ class AdminServer:
         if recorder is not None:
             self._cursor = self._scan.feed_rows(recorder.rows,
                                                 self._cursor)
+            # Folded rows are not read again while serving: a
+            # spilling store moves them out of memory.
+            recorder.rows.spill(self._cursor)
         self.findings = self._scan.findings(
             end_time=self.cluster.simulator.now)
         if self._findings_gauge is not None:
@@ -248,6 +253,7 @@ class AdminServer:
             "frames": {
                 "sent": transport.frames_sent,
                 "received": transport.frames_received,
+                "rejected": transport.frames_rejected,
             } if transport is not None else {},
             "recovery": {
                 "count": len(metrics.recoveries),

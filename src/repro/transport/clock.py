@@ -24,6 +24,7 @@ finished run "busy".
 from __future__ import annotations
 
 import asyncio
+from time import monotonic
 from typing import Callable, List, Optional
 
 from repro.sim.kernel import EventInterrupt
@@ -128,7 +129,9 @@ class LiveClock:
                  seed: int = 0,
                  activity: Optional[ActivityTracker] = None) -> None:
         self._loop = loop or asyncio.get_running_loop()
-        self._t0 = self._loop.time()
+        # The loop's clock is time.monotonic; reading it directly saves
+        # a call on the protocol's most frequent read.
+        self._t0 = monotonic()
         self._streams = StreamFactory(seed)
         self.activity = activity or ActivityTracker()
         self.events_processed = 0
@@ -136,7 +139,7 @@ class LiveClock:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self._loop.time() - self._t0
+        return monotonic() - self._t0
 
     def stream(self, name: str) -> RandomStream:
         return self._streams.stream(name)
@@ -175,5 +178,11 @@ class LiveClock:
         call = ScheduledCall(self, name, is_timer)
         if not is_timer:
             self.activity.inc()
-        call._handle = self._loop.call_later(delay, call._run, action)
+        # Zero-delay work goes on the ready queue, which runs FIFO and
+        # ahead of any frame read after it was armed; only real delays
+        # pay for the timer heap.
+        if delay:
+            call._handle = self._loop.call_later(delay, call._run, action)
+        else:
+            call._handle = self._loop.call_soon(call._run, action)
         return call

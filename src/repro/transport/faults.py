@@ -38,6 +38,7 @@ from repro.sim.kernel import EventInterrupt
 from repro.sim.randomness import RandomStream
 from repro.transport.restart import RestartInfo, restart_node
 from repro.transport.tcp import DROP_FRAME
+from repro.transport.wire import frame_kind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.live import LiveCluster
@@ -162,8 +163,8 @@ class LiveFaultInjector:
     def clear_frame_rules(self) -> None:
         self._rules.clear()
 
-    def _filter_frame(self, src: str, dst: str, obj: dict):
-        if obj.get("kind") != "msg":
+    def _filter_frame(self, src: str, dst: str, obj):
+        if frame_kind(obj) != "msg":
             return None   # control frames are not protocol traffic
         for rule in self._rules:
             if rule.src is not None and rule.src != src:
@@ -182,11 +183,11 @@ class LiveFaultInjector:
             return rule.delay
         return None
 
-    def _frame_dropped(self, src: str, dst: str, obj: dict) -> None:
+    def _frame_dropped(self, src: str, dst: str, obj) -> None:
         # The LiveNetwork counted this frame as in-flight when it
         # accepted it for transmission; a transport-seam drop must
         # hand that count back or quiescence never arrives.
-        if obj.get("kind") == "msg":
+        if frame_kind(obj) == "msg":
             self.cluster.activity.dec()
 
     # ------------------------------------------------------------------

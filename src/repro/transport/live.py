@@ -61,9 +61,9 @@ class LiveNetwork(Network):
         # wire has its own. Tracked so quiescence waits for delivery.
         self._activity.inc()
         self.transport.send(message.src, message.dst,
-                            {"kind": "msg", "msg": message_to_wire(message)})
+                            message_to_wire(message))
 
-    def handle_wire_message(self, data: dict) -> None:
+    def handle_wire_message(self, data: list) -> None:
         message = message_from_wire(data)
 
         def process() -> None:
@@ -72,14 +72,13 @@ class LiveNetwork(Network):
             finally:
                 self._activity.dec()
 
-        # Defer through the clock rather than delivering inline: a frame
-        # must not overtake zero-delay work armed before it arrived
-        # (asyncio runs I/O wakeups ahead of same-turn timer callbacks).
-        # The simulator orders time-0 work before any delivery; the twin
-        # diff holds the live run to the same discipline.  Monotonic
-        # call_later deadlines keep per-link frame order intact.
-        self.simulator.call_soon(
-            process, name=f"deliver:{message.describe()}")
+        # Defer through the clock rather than delivering inline: the
+        # simulator runs time-0 work before any delivery, and the twin
+        # diff holds the live run to the same discipline.  The clock
+        # puts zero-delay work on the loop's FIFO ready queue, so this
+        # delivery runs after all work armed before the frame was read,
+        # and frames keep their per-link order.
+        self.simulator.call_soon(process, name="deliver")
 
 
 class LiveCluster:
@@ -93,7 +92,7 @@ class LiveCluster:
                  nodes: Sequence[str] = (), seed: int = 0,
                  host: str = "127.0.0.1", base_port: int = 0,
                  log_dir: Optional[str] = None) -> None:
-        self.config = config or PRESUMED_ABORT
+        self.config = (config or PRESUMED_ABORT).live_timing()
         self.host = host
         self.base_port = base_port
         self.log_dir = log_dir
@@ -201,12 +200,12 @@ class LiveCluster:
     # ------------------------------------------------------------------
     # Frame dispatch
     # ------------------------------------------------------------------
-    def _on_frame(self, node: str, obj: dict,
-                  writer: "asyncio.StreamWriter") -> None:
+    def _on_frame(self, node: str, obj, writer: "asyncio.Transport") -> None:
+        if obj.__class__ is list:
+            self.network.handle_wire_message(obj)
+            return
         kind = obj.get("kind")
-        if kind == "msg":
-            self.network.handle_wire_message(obj["msg"])
-        elif kind == "begin":
+        if kind == "begin":
             # Control plane: an external client asks this node to run a
             # transaction; the outcome is reported on the same stream.
             if not self.accepting:
@@ -357,6 +356,9 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
     ``drain_timeout``) for tracked work to finish, flush the journal
     to ``journal_path`` (defaults to ``<log_dir>/journal.jsonl`` when
     ``log_dir`` is set), close the WALs, and return — the CLI exits 0.
+    While serving, the rows the watchdog has folded live in a ``.rows``
+    segment beside that file (``journal.rows`` by default), removed
+    once the JSONL is written.
 
     ``ready(cluster, addresses)`` is called once the mesh is up —
     the CLI prints the node addresses there; tests grab the ports.
@@ -373,10 +375,16 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
     from repro.ops import OperatorConsole
     from repro.transport.admin import AdminServer
 
+    path = journal_path
+    if path is None and log_dir is not None:
+        path = os.path.join(log_dir, "journal.jsonl")
+    # The journal's folded rows spill next to it, so memory holds only
+    # what the watchdog has not read yet.
+    segment = None if path is None else os.path.splitext(path)[0] + ".rows"
     cluster = LiveCluster(config, nodes=list(nodes), seed=seed,
                           host=host, base_port=base_port, log_dir=log_dir)
     registry = MetricsRegistry().attach(cluster)
-    recorder = JournalRecorder().attach(cluster)
+    recorder = JournalRecorder(segment=segment).attach(cluster)
     watchdog = Watchdog()
     console = OperatorConsole(cluster)
     admin = AdminServer(cluster, registry=registry, recorder=recorder,
@@ -443,14 +451,14 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
         recorder.detach()
         registry.detach()
         watchdog.detach()
-        path = journal_path
-        if path is None and log_dir is not None:
-            path = os.path.join(log_dir, "journal.jsonl")
         if path is not None:
+            # Streamed a chunk of rows at a time: the drain holds no
+            # more of the journal in memory than the run did.
             with open(path, "w") as handle:
-                handle.write(recorder.to_jsonl(meta={
-                    "protocol": config.presumption.value,
-                    "nodes": sorted(cluster.nodes),
-                    "drain_reason": control.reason,
-                }))
+                for piece in recorder.rows.render(meta={
+                        "protocol": config.presumption.value,
+                        "nodes": sorted(cluster.nodes),
+                        "drain_reason": control.reason}):
+                    handle.write(piece)
+            os.remove(segment)
         await cluster.stop()

@@ -39,7 +39,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.log.records import LogRecord, LogRecordType
 from repro.log.storage import StableStorage
-from repro.transport.wire import record_from_wire, record_to_wire
+from repro.transport.wire import encode_json, record_from_wire, \
+    record_to_wire
 
 
 class WalCorruptionError(RuntimeError):
@@ -48,10 +49,8 @@ class WalCorruptionError(RuntimeError):
 
 
 def _encode(records: Sequence[LogRecord]) -> bytes:
-    return b"".join(
-        json.dumps(record_to_wire(r), separators=(",", ":")).encode("utf-8")
-        + b"\n"
-        for r in records)
+    return "".join(encode_json(record_to_wire(r)) + "\n"
+                   for r in records).encode("utf-8")
 
 
 def scan_wal(path: str) -> Tuple[List[LogRecord], Optional[str], int]:

@@ -25,6 +25,12 @@ only frame the transport itself speaks is the ``hello`` a client link
 opens with, which names the sending node so the receiving server can
 attribute per-link delivery counts (the crash-accounting seam
 :meth:`reconcile_lost` is built on).
+
+A server reads with an :class:`asyncio.Protocol`: every socket read is
+split into frames in one pass and handed to ``on_frame`` in order.  A
+frame that cannot be used — an oversized length prefix, a body that is
+not JSON, a scalar, or one the handler rejects — closes only the
+connection it came on and is counted in ``frames_rejected``.
 """
 
 from __future__ import annotations
@@ -32,17 +38,24 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass
-from typing import (Awaitable, Callable, Deque, Dict, List, Optional,
+from typing import (Any, Awaitable, Callable, Deque, Dict, List, Optional,
                     Sequence, Tuple)
 
+from repro.errors import ReproError
 from repro.sim.kernel import EventInterrupt
 from repro.sim.randomness import RandomStream
-from repro.transport.wire import encode_frame, read_frame
+from repro.transport.wire import (FrameError, FrameSplitter, encode_frame,
+                                  frame_kind)
 
-FrameHandler = Callable[[str, dict, "asyncio.StreamWriter"], None]
+FrameHandler = Callable[[str, Any, "asyncio.Transport"], None]
 
 #: Sentinel a send filter returns to drop a frame at the transport seam.
 DROP_FRAME = object()
+
+#: What a frame handler raises for a frame it cannot decode or act on
+#: (a malformed message array, a begin frame with a bad spec): the
+#: frame is rejected and its connection closed.
+REJECTED_FRAME = (ValueError, LookupError, TypeError, ReproError)
 
 
 @dataclass(frozen=True)
@@ -109,13 +122,47 @@ class _Link:
         self.attempts = 0
 
 
+class _ServerProtocol(asyncio.Protocol):
+    """One inbound connection of a node's server.
+
+    Each socket read is cut into frames in one pass (no coroutine
+    wake-up per frame) and handed to the transport in order.
+    """
+
+    def __init__(self, owner: "TcpTransport", node: str) -> None:
+        self.owner = owner
+        self.node = node
+        #: The sending node, once its ``hello`` arrived.
+        self.peer: Optional[str] = None
+        self.transport: Optional["asyncio.Transport"] = None
+        self.splitter = FrameSplitter()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.owner._server_conns.setdefault(self.node, set()).add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        conns = self.owner._server_conns.get(self.node)
+        if conns is not None:
+            conns.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            frames, bad = self.splitter.feed(data), False
+        except FrameError:
+            frames, bad = self.splitter.ready, True
+        if self.owner._received(self.node, self, frames) and bad:
+            self.owner._reject(self)
+
+
 class TcpTransport:
     """Localhost (or LAN) mesh of length-prefixed JSON frame streams."""
 
     def __init__(self, backoff: Optional[BackoffPolicy] = None,
                  seed: int = 0) -> None:
         #: Called as ``on_frame(node, obj, writer)`` for every frame a
-        #: node's server reads; ``writer`` allows control-frame replies.
+        #: node's server reads; ``writer`` (the connection's asyncio
+        #: transport) allows control-frame replies.
         self.on_frame: Optional[FrameHandler] = None
         #: Supervision hooks: ``on_link_down(src, dst)`` when a watcher
         #: notices a disconnect, ``on_link_up(src, dst, attempts)`` when
@@ -136,13 +183,16 @@ class TcpTransport:
         self._servers: Dict[str, "asyncio.base_events.Server"] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._links: Dict[Tuple[str, str], _Link] = {}
-        #: Server-side writers per listening node, so a node kill can
-        #: hard-close established inbound connections.
+        #: Server-side connections per listening node, so a node kill
+        #: can hard-close established inbound connections.
         self._server_conns: Dict[str, set] = {}
         self._closed = False
         self.frames_sent = 0
         self.frames_received = 0
         self.frames_dropped = 0
+        #: Inbound frames refused as malformed (each closed its
+        #: connection).
+        self.frames_rejected = 0
         #: Per-link "msg"-frame delivery accounting: written counts
         #: frames put on the wire, received counts frames the far
         #: server handed to ``on_frame``.  Their difference is what a
@@ -156,12 +206,9 @@ class TcpTransport:
     async def listen(self, node: str, host: str = "127.0.0.1",
                      port: int = 0) -> Tuple[str, int]:
         """Start ``node``'s server; returns the bound (host, port)."""
-
-        async def handler(reader: "asyncio.StreamReader",
-                          writer: "asyncio.StreamWriter") -> None:
-            await self._serve_connection(node, reader, writer)
-
-        server = await asyncio.start_server(handler, host, port)
+        loop = asyncio.get_running_loop()
+        server = await loop.create_server(
+            lambda: _ServerProtocol(self, node), host, port)
         self._servers[node] = server
         self._server_conns.setdefault(node, set())
         bound = server.sockets[0].getsockname()
@@ -199,7 +246,7 @@ class TcpTransport:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def send(self, src: str, dst: str, obj: dict) -> None:
+    def send(self, src: str, dst: str, obj: Any) -> None:
         """Put one frame on the (src, dst) link.
 
         Synchronous by design: ``Network.send`` is synchronous, and the
@@ -221,12 +268,12 @@ class TcpTransport:
                 return
         self._dispatch(src, dst, obj)
 
-    def _dispatch(self, src: str, dst: str, obj: dict) -> None:
+    def _dispatch(self, src: str, dst: str, obj: Any) -> None:
         link = self._links[(src, dst)]
         if link.state == "up" and link.writer is not None:
-            self._write(link, obj.get("kind"), encode_frame(obj))
+            self._write(link, frame_kind(obj), encode_frame(obj))
         else:
-            link.pending.append((obj.get("kind"), encode_frame(obj)))
+            link.pending.append((frame_kind(obj), encode_frame(obj)))
 
     def _write(self, link: _Link, kind: Optional[str],
                encoded: bytes) -> None:
@@ -237,45 +284,42 @@ class TcpTransport:
             key = (link.src, link.dst)
             self.msg_written[key] = self.msg_written.get(key, 0) + 1
 
-    async def _serve_connection(self, node: str,
-                                reader: "asyncio.StreamReader",
-                                writer: "asyncio.StreamWriter") -> None:
-        conns = self._server_conns.setdefault(node, set())
-        conns.add(writer)
-        peer: Optional[str] = None
-        try:
-            while True:
-                obj = await read_frame(reader)
-                if obj is None:
-                    break
-                if obj.get("kind") == "hello":
-                    # Transport-internal link handshake: names the
-                    # sending node for delivery accounting.
-                    peer = obj.get("src")
-                    continue
-                self.frames_received += 1
-                if obj.get("kind") == "msg" and peer is not None:
-                    key = (peer, node)
-                    self.msg_received[key] = \
-                        self.msg_received.get(key, 0) + 1
-                if self.on_frame is not None:
-                    try:
-                        self.on_frame(node, obj, writer)
-                    except EventInterrupt as interrupt:
-                        # A fault-injection hook fired inside the
-                        # synchronous frame handler (same contract as
-                        # the sim kernel): abandon the handler at that
-                        # point and run the crash.
-                        if interrupt.on_interrupt is not None:
-                            interrupt.on_interrupt()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer died mid-frame; supervision handles the rest
-        finally:
-            conns.discard(writer)
+    def _received(self, node: str, conn: "_ServerProtocol",
+                  frames: List[Any]) -> bool:
+        """Hand one socket read's frames to ``on_frame``, in order;
+        False if one was rejected (and its connection closed)."""
+        on_frame = self.on_frame
+        for obj in frames:
+            kind = frame_kind(obj)
+            if kind == "hello":
+                # Transport-internal link handshake: names the sending
+                # node for delivery accounting.
+                conn.peer = obj.get("src")
+                continue
+            self.frames_received += 1
+            if kind == "msg" and conn.peer is not None:
+                key = (conn.peer, node)
+                self.msg_received[key] = self.msg_received.get(key, 0) + 1
+            if on_frame is None:
+                continue
             try:
-                writer.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+                on_frame(node, obj, conn.transport)
+            except EventInterrupt as interrupt:
+                # A fault-injection hook fired inside the synchronous
+                # frame handler (same contract as the sim kernel):
+                # abandon the handler at that point and run the crash.
+                if interrupt.on_interrupt is not None:
+                    interrupt.on_interrupt()
+            except REJECTED_FRAME:
+                self._reject(conn)
+                return False
+        return True
+
+    def _reject(self, conn: "_ServerProtocol") -> None:
+        """A frame the server cannot use closes the connection it came
+        on — that connection only; the node keeps serving."""
+        self.frames_rejected += 1
+        conn.transport.close()
 
     # ------------------------------------------------------------------
     # Supervision
@@ -404,9 +448,9 @@ class TcpTransport:
                 await server.wait_closed()
             except Exception:  # pragma: no cover
                 pass
-        for writer in list(self._server_conns.get(node, ())):
+        for conn in list(self._server_conns.get(node, ())):
             try:
-                writer.close()
+                conn.close()
             except Exception:  # pragma: no cover
                 pass
         self._server_conns[node] = set()
@@ -476,9 +520,9 @@ class TcpTransport:
             link.writer = None
         self._links.clear()
         for conns in self._server_conns.values():
-            for writer in list(conns):
+            for conn in list(conns):
                 try:
-                    writer.close()
+                    conn.close()
                 except Exception:  # pragma: no cover
                     pass
         self._server_conns.clear()

@@ -58,12 +58,12 @@ _ARMED_SITES = {
     "sub-post-vote": ("subordinate-vote", "post"),
 }
 
-#: Real-time analogues of the sim torture timeouts: short enough that
-#: a cell settles in well under a second of wall clock, long enough
-#: that the ~60ms kill/restart outage never races a timer it needn't.
-_TIMEOUTS = dict(io_latency=0.0, ack_timeout=0.4, vote_timeout=0.5,
-                 inquiry_timeout=0.5, work_timeout=4.0,
-                 retry_interval=0.15)
+#: Real-time analogues of the sim torture timeouts (LiveCluster
+#: supplies the live time units): short enough that a cell settles in
+#: well under a second of wall clock, long enough that the ~60ms
+#: kill/restart outage never races a timer it needn't.
+_TIMEOUTS = dict(ack_timeout=0.4, vote_timeout=0.5, inquiry_timeout=0.5,
+                 work_timeout=4.0)
 
 _SETTLE_TIMEOUT = 20.0
 _POLL = 0.02

@@ -217,13 +217,11 @@ class TwinReport:
 async def _run_live(config: ProtocolConfig, seed: int, txns: int,
                     nodes: Sequence[str],
                     log_dir: Optional[str]) -> RunCapture:
-    # Live log I/O completes on the next loop turn; the real cost is the
-    # fsync itself, not a simulated seek.
     from repro.ops import OperatorConsole
     from repro.transport.admin import AdminServer
 
-    cluster = LiveCluster(config.with_options(io_latency=0.0),
-                          nodes=list(nodes), seed=seed, log_dir=log_dir)
+    cluster = LiveCluster(config, nodes=list(nodes), seed=seed,
+                          log_dir=log_dir)
     recorder = JournalRecorder().attach(cluster)
     registry = MetricsRegistry().attach(cluster)
     checker = ProtocolChecker().attach(cluster)

@@ -81,14 +81,17 @@ class RetentionReport:
     #: Source lines executed by the first and by the last round (empty
     #: unless traced).
     round_lines: List[int] = field(default_factory=list)
+    #: ``serve`` only: the traced peak while serving, and while draining.
+    peak_bytes: Optional[int] = None
+    drain_peak_bytes: Optional[int] = None
 
     def bytes_per_txn(self, quarter: Optional[int] = None) -> float:
         """Resident bytes a transaction adds: the whole run's average,
-        or what ``quarter`` (2-4) added in small blocks."""
+        or what ``quarter`` (1-4) added in small blocks."""
         if quarter is None:
             return self.traced_bytes / self.txns
-        return (self.small_bytes[quarter - 1]
-                - self.small_bytes[quarter - 2]) / (self.txns / 4)
+        before = self.small_bytes[quarter - 2] if quarter > 1 else 0
+        return (self.small_bytes[quarter - 1] - before) / (self.txns / 4)
 
     def problems(self, budget: Optional[float] = None) -> List[str]:
         """Every check this run fails, as sentences (empty: all pass)."""
@@ -343,3 +346,132 @@ def run_contended(txns: int = 4000, seed: int = 1000,
     specs = star_specs("baseline", names, txns, hot_keys=8, seed=seed)
     return run_workload(cluster, specs, mean_gap=1.0, seed=seed,
                         trace=trace)
+
+
+#: Resident bytes per finished transaction ``serve`` may keep (stable
+#: log mirror, metrics, store contents and the journal's string table),
+#: and what its drain may add to the peak of the run.
+SERVE_BUDGET = 3.0 * 1024
+DRAIN_SLACK = 4 * 1024 * 1024
+
+
+def serve_problems(report: RetentionReport) -> List[str]:
+    """What a :func:`run_serve` report fails, as sentences: the budget,
+    the last quarter within 1.1x the first, the drain's slack."""
+    found = []
+    if report.bytes_per_txn() > SERVE_BUDGET:
+        found.append(f"{report.bytes_per_txn():.0f} bytes/txn is over "
+                     f"the {SERVE_BUDGET:.0f} budget")
+    first, last = report.bytes_per_txn(1), report.bytes_per_txn(4)
+    if last > 1.1 * first:
+        found.append(f"bytes/txn grew from {first:.0f} (quarter 1) to "
+                     f"{last:.0f} (quarter 4)")
+    spike = report.drain_peak_bytes - report.peak_bytes
+    if spike > DRAIN_SLACK:
+        found.append(f"the drain peaked {spike / 2**20:.1f} MB over the "
+                     f"run's peak")
+    return found
+
+
+def run_serve(txns: int = 5000, seed: int = 1000,
+              connections: int = 2) -> RetentionReport:
+    """``serve`` as shipped — 3-node Presumed Abort, file WALs, admin
+    plane, journal spilling — driven over TCP by ``connections``
+    closed-loop clients in the same process, in forty rounds, then
+    drained.
+
+    Tracing starts after one warm-up round; memory is read at rest (the
+    cluster quiescent and a ``/status`` request made, which runs the
+    watchdog tick that spills the journal) before the run and at the
+    end of each quarter, so ``small_bytes`` has five samples and
+    ``bytes_per_txn(1)`` is the first quarter's growth.  The traced
+    peak is read before the drain and again over it (the drain writes
+    the whole journal).
+    """
+    import asyncio
+    import shutil
+    import tempfile
+
+    from repro.core.config import PRESUMED_ABORT
+    from repro.transport.live import ServeControl, serve
+    from repro.transport.wire import encode_frame, read_frame, spec_to_wire
+
+    names = ["n0", "n1", "n2"]
+    size = txns // 40                 # per round; ten rounds a quarter
+    specs = star_specs("baseline", names, txns + size, hot_keys=0,
+                       seed=seed)
+    frames = [encode_frame({"kind": "begin", "spec": spec_to_wire(spec)})
+              for spec in specs]
+    del specs
+    small: List[int] = []
+    traced = peak = drain_peak = None
+    log_dir = tempfile.mkdtemp(prefix="repro-retention-")
+
+    async def run() -> None:
+        nonlocal traced, peak, drain_peak
+        control = ServeControl()
+        up = asyncio.get_running_loop().create_future()
+        server = asyncio.ensure_future(serve(
+            PRESUMED_ABORT.with_options(io_latency=0.0), names, seed=seed,
+            log_dir=log_dir, control=control,
+            ready=lambda cluster, addresses: up.set_result(cluster)))
+        cluster = await up
+        streams = [await asyncio.open_connection(
+            *cluster.transport.address(names[0]))
+            for _ in range(connections)]
+
+        async def client(reader, writer, batch) -> None:
+            for frame in batch:
+                writer.write(frame)
+                reply = await read_frame(reader)
+                assert reply["outcome"] == "commit", reply
+
+        async def round_of(first: int) -> None:
+            batch = frames[first:first + size]
+            await asyncio.gather(*(
+                client(reader, writer, batch[index::connections])
+                for index, (reader, writer) in enumerate(streams)))
+            await cluster.wait_quiescent()
+
+        async def at_rest() -> int:
+            """Small-block bytes with the cluster at rest."""
+            reader, writer = await asyncio.open_connection(
+                *cluster.admin_address)
+            writer.write(b"GET /status HTTP/1.1\r\n\r\n")
+            await reader.read()
+            writer.close()
+            gc.collect()
+            return sum(block.size for block
+                       in tracemalloc.take_snapshot().traces
+                       if block.size <= _SMALL_BLOCK)
+
+        try:
+            await round_of(0)
+            tracemalloc.start()
+            small.append(await at_rest())
+            for round_no in range(1, 41):
+                await round_of(round_no * size)
+                if round_no % 10 == 0:
+                    small.append(await at_rest())
+            traced, peak = tracemalloc.get_traced_memory()
+            for _reader, writer in streams:
+                writer.close()
+            tracemalloc.reset_peak()
+            control.request_drain("retention run done")
+            await server
+            drain_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            if not server.done():
+                control.request_drain("retention run failed")
+                await server
+
+    try:
+        asyncio.run(run())
+    finally:
+        shutil.rmtree(log_dir, ignore_errors=True)
+    return RetentionReport(txns=txns, unreachable=0, leftovers={},
+                           traced_bytes=traced,
+                           small_bytes=[sample - small[0]
+                                        for sample in small[1:]],
+                           peak_bytes=peak, drain_peak_bytes=drain_peak)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 
 import pytest
@@ -49,6 +50,10 @@ async def http_get(address, target, method="GET"):
         headers[name.strip().lower()] = value.strip()
     assert int(headers["content-length"]) == len(body)
     return status, headers, body.decode("utf-8")
+
+
+def without_times(jsonl: str) -> str:
+    return re.sub(r'"t":[^,]*,', '', jsonl)
 
 
 def updating_spec(txn_id: str):
@@ -151,6 +156,63 @@ class TestServeWiring:
         header = json.loads(journal_path.read_text().splitlines()[0])
         assert header["meta"]["drain_reason"] == "test"
         assert header["meta"]["protocol"] == "presumed-abort"
+
+    def test_spilled_journal_drains_byte_identical(self, tmp_path):
+        """``serve`` spills the rows each watchdog tick folded to
+        ``journal.rows``; the drained JSONL is byte-identical to an
+        in-memory recorder's rendering of the same run (apart from the
+        clock readings), and the segment is gone afterwards.  A hostile
+        frame on the way is counted on ``/status``."""
+        segment = tmp_path / "journal.rows"
+
+        async def scenario():
+            up = asyncio.get_running_loop().create_future()
+            shadow = JournalRecorder()
+
+            def ready(cluster, addrs):
+                shadow.attach(cluster)
+                up.set_result((cluster, addrs))
+
+            control = ServeControl()
+            server = asyncio.ensure_future(serve(
+                PRESUMED_ABORT, ["c", "s"], ready=ready, control=control,
+                log_dir=str(tmp_path)))
+            cluster, addresses = await asyncio.wait_for(up, 10)
+            reader, writer = await asyncio.open_connection(*addresses["c"])
+            spilled = []
+            for batch in range(3):
+                for index in range(5):
+                    writer.write(encode_frame({
+                        "kind": "begin", "spec": spec_to_wire(
+                            updating_spec(f"sp-{batch}-{index}"))}))
+                    reply = await asyncio.wait_for(read_frame(reader), 10)
+                    assert reply["outcome"] == "commit"
+                await cluster.wait_quiescent()
+                # /status runs a watchdog tick, which spills.
+                await http_get(cluster.admin_address, "/status")
+                spilled.append(segment.stat().st_size)
+            writer.close()
+            _r, hostile = await asyncio.open_connection(*addresses["s"])
+            hostile.write(b"\x00\x00\x00\x02{]")
+            await asyncio.sleep(0.05)
+            status = json.loads((await http_get(
+                cluster.admin_address, "/status"))[2])
+            control.request_drain("test")
+            await asyncio.wait_for(server, 15)
+            shadow.detach()
+            return spilled, status, shadow.to_jsonl(meta={
+                "protocol": "presumed-abort", "nodes": ["c", "s"],
+                "drain_reason": "test"})
+
+        spilled, status, expected = asyncio.run(scenario())
+        assert 0 < spilled[0] < spilled[1] < spilled[2]
+        assert spilled[0] % 57 == 0                 # whole packed rows
+        assert status["frames"]["rejected"] == 1
+        # Two recorders read the real-time clock one after the other, so
+        # only the times differ; everything else is byte-identical.
+        assert without_times((tmp_path / "journal.jsonl").read_text()) \
+            == without_times(expected)
+        assert not segment.exists()
 
     def test_sigterm_drains_and_flushes(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"

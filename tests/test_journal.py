@@ -364,6 +364,76 @@ class TestJournalRows:
         assert any(e.kind == "harden" for e in recorder.entries())
         assert_rows_render_identically(recorder, meta={"live": True})
 
+    def test_spilled_store_reads_as_one_journal(self, tmp_path):
+        """Rows spilled to the segment file and the in-memory tail read
+        as one journal: same length, entries, rows across the cut and
+        byte-identical JSONL as a recorder that never spilled, with
+        eids and parents continuing past every cut."""
+        segment = tmp_path / "journal.rows"
+        cluster = Cluster(PRESUMED_ABORT, nodes=["n0", "n1", "n2"], seed=5)
+        spilling = JournalRecorder(segment=str(segment)).attach(cluster)
+        whole = JournalRecorder().attach(cluster)
+        for index in range(12):
+            cluster.run_transaction(
+                updating_spec("n0", ["n1", "n2"], txn_id=f"sp{index}"))
+            if index % 4 == 1:
+                spilling.rows.spill(len(spilling) - 3)
+        spilling.detach()
+        whole.detach()
+        rows = spilling.rows
+        assert 0 < rows.base < len(rows) == len(whole)
+        assert segment.stat().st_size == rows.base * 57
+        assert len(rows.buf) < len(whole.rows.buf)
+        meta = {"spilled": True}
+        assert spilling.to_jsonl(meta) == whole.to_jsonl(meta)
+        assert "".join(rows.render(meta, chunk=7)) == whole.to_jsonl(meta)
+        assert spilling.entries() == whole.entries()
+        cut = rows.base
+        for start, stop in ((0, 5), (cut - 2, cut + 2), (cut, None),
+                            (cut + 1, cut + 1)):
+            assert list(rows.rows(start, stop)) == \
+                list(whole.rows.rows(start, stop))
+        assert spilling.entries(cut - 1) == whole.entries(cut - 1)
+        assert spilling[0] == whole[0] and spilling[-1] == whole[-1]
+        rows.spill(cut - 1)                      # behind the cut: no-op
+        assert rows.base == cut
+
+    def test_recorder_without_segment_never_spills(self):
+        recorder = record_cell("pa", "baseline")
+        before = len(recorder.rows.buf)
+        recorder.rows.spill(len(recorder))
+        assert (recorder.rows.base, len(recorder.rows.buf)) == (0, before)
+
+    @pytest.mark.parametrize("window", [4, 256])
+    def test_forget_window_bounds_the_maps_and_keeps_bytes(
+            self, window, monkeypatch):
+        """The recorder forgets a terminal (txn, node) pair
+        ``FORGET_WINDOW`` terminal pairs later, once its writes have
+        hardened, so its maps stay bounded; the journal is
+        byte-identical to one recorded with every pair kept."""
+        from repro.obs import journal
+        from repro.verify.retention import steady_specs
+
+        def record():
+            names = ["n0", "n1", "n2"]
+            cluster = Cluster(PRESUMED_ABORT, nodes=names, seed=3)
+            recorder = JournalRecorder().attach(cluster)
+            for spec in steady_specs(names, 400, seed=3):
+                cluster.run_transaction(spec)
+            recorder.detach()
+            return recorder
+
+        monkeypatch.setattr(journal, "FORGET_WINDOW", 10 ** 9)
+        kept = record()
+        monkeypatch.setattr(journal, "FORGET_WINDOW", window)
+        trimmed = record()
+        assert len(kept._states) > 1000
+        # The window, plus pairs whose END record waits for a force.
+        held = window + len(trimmed._unhardened)
+        assert len(trimmed._states) <= held
+        assert len(trimmed._last_txn_site) <= held
+        assert trimmed.to_jsonl() == kept.to_jsonl()
+
     def test_packing_translates_and_drops_parents(self):
         """Packing entry objects renumbers them by row and keeps only
         the parents that are still in the journal."""

@@ -78,6 +78,18 @@ def test_contended_workload_is_flat_and_within_budget():
     assert 0 < report.time_ratio() <= 1.15
 
 
+@pytest.mark.live
+def test_serve_is_flat_within_budget_and_drains_without_a_spike():
+    """``serve`` as shipped, 5000 transactions over TCP: at rest it
+    keeps at most 3 KB per finished transaction (the journal's rows
+    are spilled, the recorder's maps trimmed), the last quarter adds
+    at most 1.1x what the first did, and writing the journal at drain
+    adds at most ``DRAIN_SLACK`` to the run's peak."""
+    report = retention.run_serve(txns=5000)
+    assert retention.serve_problems(report) == []
+    assert 0 < report.bytes_per_txn() <= retention.SERVE_BUDGET
+
+
 # ----------------------------------------------------------------------
 # The implied-ack waiter index forgets exactly when a scan would
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.cluster import Cluster
-from repro.core.config import PRESUMED_ABORT, PRESUMED_COMMIT
+from repro.core.config import LIVE_TIMING, PRESUMED_ABORT, PRESUMED_COMMIT
 from repro.core.spec import flat_tree
 from repro.lrm.operations import read_op, write_op
 from repro.net.message import Message, MessageType
@@ -296,6 +296,39 @@ class TestLiveClock:
         assert order == ["soon", "late"]
         assert remaining == 0
 
+    def test_zero_delay_work_runs_before_a_frame_read_after_it(self):
+        """Zero-delay work is on the ready queue: FIFO among itself,
+        ahead of an I/O callback for data that arrives after it was
+        armed (the timer heap ran such callbacks first)."""
+        import socket
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            clock = LiveClock()
+            order = []
+            left, right = socket.socketpair()
+            left.setblocking(False)
+            loop.add_reader(left, lambda: (order.append("frame"),
+                                           loop.remove_reader(left)))
+            right.send(b"x")              # readable at the next poll
+            clock.call_soon(lambda: (order.append("a"),
+                                     clock.schedule(0.0, lambda: order
+                                                    .append("a2"))))
+            clock.schedule(0.0, lambda: order.append("b"))
+            cancelled = clock.call_soon(lambda: order.append("never"))
+            cancelled.cancel()
+            await clock.activity.wait_idle()
+            await asyncio.sleep(0.01)
+            left.close()
+            right.close()
+            return order, clock.activity.count
+
+        order, remaining = asyncio.run(scenario())
+        assert order[:2] == ["a", "b"]
+        assert order.index("frame") > 1
+        assert order.index("a2") > order.index("b")
+        assert "never" not in order and remaining == 0
+
     def test_timers_are_not_tracked_and_cancel(self):
         async def scenario():
             tracker = ActivityTracker()
@@ -337,6 +370,26 @@ class TestLiveClock:
 
         first, second = asyncio.run(scenario())
         assert first == second
+
+
+class TestLiveTiming:
+    def test_profile_fills_stock_durations_and_keeps_set_ones(self):
+        assert PRESUMED_ABORT.live_timing() == \
+            PRESUMED_ABORT.with_options(**LIVE_TIMING)
+        config = PRESUMED_ABORT.with_options(io_latency=0.05,
+                                             ack_timeout=2.0)
+        live = config.live_timing()
+        assert live.io_latency == 0.05
+        assert live.retry_interval == LIVE_TIMING["retry_interval"]
+        assert (live.ack_timeout, live.vote_timeout) == (2.0, None)
+        assert live.live_timing() == live
+
+    def test_live_cluster_runs_on_the_profile(self):
+        async def scenario():
+            return LiveCluster(PRESUMED_COMMIT, nodes=["a"]).config
+
+        assert asyncio.run(scenario()) == \
+            PRESUMED_COMMIT.with_options(**LIVE_TIMING)
 
 
 # ----------------------------------------------------------------------
