@@ -16,7 +16,6 @@ from repro.core.handle import TransactionHandle
 from repro.core.node import TMNode
 from repro.core.spec import TransactionSpec
 from repro.errors import ConfigurationError
-from repro.log.records import LogRecordType
 from repro.metrics.collector import MetricsCollector, TransactionRecord
 from repro.net.latency import LatencyModel
 from repro.net.message import MessageType
@@ -216,36 +215,13 @@ class Cluster:
     def durable_outcome(self, node_name: str,
                         txn_id: str) -> Optional[str]:
         """What the node's stable log says happened to the transaction."""
-        stable = self.nodes[node_name].log.stable
-        if stable.has_record(txn_id, LogRecordType.COMMITTED):
-            return "commit"
-        if stable.has_record(txn_id, LogRecordType.ABORTED):
-            return "abort"
-        if stable.has_record(txn_id, LogRecordType.HEURISTIC_COMMIT):
-            return "heuristic-commit"
-        if stable.has_record(txn_id, LogRecordType.HEURISTIC_ABORT):
-            return "heuristic-abort"
-        return None
+        return self.nodes[node_name].log.durable_outcome(txn_id)
 
     def recorded_outcome(self, node_name: str,
                          txn_id: str) -> Optional[str]:
-        """Outcome per the node's log including the volatile buffer.
-
-        Presumed Commit legitimately leaves subordinate commit records
-        unforced, so failure-free assertions should use this rather
-        than :meth:`durable_outcome`.
-        """
-        records = self.nodes[node_name].log.records_for(txn_id)
-        types = {r.record_type for r in records}
-        if LogRecordType.COMMITTED in types:
-            return "commit"
-        if LogRecordType.ABORTED in types:
-            return "abort"
-        if LogRecordType.HEURISTIC_COMMIT in types:
-            return "heuristic-commit"
-        if LogRecordType.HEURISTIC_ABORT in types:
-            return "heuristic-abort"
-        return None
+        """Outcome per the node's log including the volatile buffer
+        (see :meth:`repro.log.manager.LogManager.recorded_outcome`)."""
+        return self.nodes[node_name].log.recorded_outcome(txn_id)
 
     def value(self, node_name: str, key: str, rm_name: str = "default"):
         """Read committed data outside any transaction (assertions)."""

@@ -197,6 +197,13 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
     def all_rms(self) -> List[ResourceManager]:
         return [self.default_rm] + list(self.detached_rms.values())
 
+    def logs(self) -> List[LogManager]:
+        """This node's distinct logs: the TM log first, then the private
+        logs of ``own_log`` detached RMs in registration order."""
+        log = self.log
+        return [log] + [rm.log for rm in self.detached_rms.values()
+                        if rm.log is not log]
+
     # ------------------------------------------------------------------
     # Context management
     # ------------------------------------------------------------------
@@ -534,10 +541,9 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         self._implied_ack_waiters.clear()
         self._arrivals.clear()
         self._deferred_outbox.clear()
-        self.log.crash()
+        for log in self.logs():
+            log.crash()
         for rm in self.all_rms():
-            if rm.log is not self.log:
-                rm.log.crash()
             rm.crash()
         self.note("-", "CRASH")
 

@@ -39,9 +39,8 @@ class RecoveryMixin:
     # ------------------------------------------------------------------
     def run_restart_recovery(self: "TMNode") -> None:
         records = self.log.recover()
-        for rm in self.all_rms():
-            if rm.log is not self.log:
-                rm.log.recover()
+        for log in self.logs()[1:]:
+            log.recover()
 
         checkpoint = None
         for record in reversed(records):

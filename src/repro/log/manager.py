@@ -45,6 +45,16 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.kernel import Simulator, Timer
 
 
+#: The outcome each decision record states, in the order the outcome
+#: queries look for them.
+_OUTCOME_RECORDS = (
+    (LogRecordType.COMMITTED, "commit"),
+    (LogRecordType.ABORTED, "abort"),
+    (LogRecordType.HEURISTIC_COMMIT, "heuristic-commit"),
+    (LogRecordType.HEURISTIC_ABORT, "heuristic-abort"),
+)
+
+
 @dataclass
 class _ForceRequest:
     lsn: int
@@ -280,6 +290,26 @@ class LogManager:
     def records_for(self, txn_id: str) -> List[LogRecord]:
         return self.stable.records_for(txn_id) + [
             r for r in self._buffer if r.txn_id == txn_id]
+
+    def durable_outcome(self, txn_id: str) -> Optional[str]:
+        """What the stable log says happened to the transaction."""
+        for record_type, outcome in _OUTCOME_RECORDS:
+            if self.stable.has_record(txn_id, record_type):
+                return outcome
+        return None
+
+    def recorded_outcome(self, txn_id: str) -> Optional[str]:
+        """Outcome per the log including the volatile buffer.
+
+        Presumed Commit legitimately leaves subordinate commit records
+        unforced, so failure-free assertions should use this rather
+        than :meth:`durable_outcome`.
+        """
+        types = {record.record_type for record in self.records_for(txn_id)}
+        for record_type, outcome in _OUTCOME_RECORDS:
+            if record_type in types:
+                return outcome
+        return None
 
     def remembers(self, txn_id: str) -> bool:
         """Whether this log holds any record of the transaction — how a

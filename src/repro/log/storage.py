@@ -7,8 +7,7 @@ as a value tuple under a shared key tuple.  Protocol records repeat the
 same few payloads transaction after transaction, so those tuples are
 pooled; data (``LRM_*``) records carry per-transaction values and are
 stored as they are.  :class:`~repro.log.records.LogRecord` objects are
-materialised on read, the way
-:class:`~repro.metrics.columns.ColumnarTraceLog` does for trace events.
+materialised on read.
 """
 
 from __future__ import annotations

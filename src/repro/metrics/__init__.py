@@ -6,8 +6,7 @@ forced log writes, lock hold time.  Every substrate reports into a
 quantities the paper's Tables 2-4 report.
 """
 
-from repro.metrics.columns import (ColumnarTraceLog, CostTape,
-                                   FloatColumn, IntColumn, PairColumn,
+from repro.metrics.columns import (FloatColumn, IntColumn, PairColumn,
                                    StringInterner)
 from repro.metrics.counters import TaggedCounter
 from repro.metrics.collector import (
@@ -20,9 +19,7 @@ from repro.metrics.collector import (
 from repro.metrics.histogram import DEFAULT_BOUNDS, Histogram, geometric_bounds
 
 __all__ = [
-    "ColumnarTraceLog",
     "CostSummary",
-    "CostTape",
     "FloatColumn",
     "IntColumn",
     "PairColumn",

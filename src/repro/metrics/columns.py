@@ -10,7 +10,7 @@ columnar fast path: homogeneous fields live in preallocated
 float object plus list slot), and repeated strings — node names,
 message types, record types — are interned to small integers once.
 
-Three layers build on the same primitives:
+Two layers build on the same primitives:
 
 * :class:`FloatColumn` / :class:`IntColumn` — growable typed buffers
   with list-compatible reads (iteration, slicing, equality against
@@ -18,14 +18,7 @@ Three layers build on the same primitives:
   :class:`~repro.metrics.collector.MetricsCollector`
   for lock-hold and force-latency samples;
 * :class:`PairColumn` — an interned-string + float pair stream that
-  still iterates as ``(name, value)`` tuples;
-* :class:`ColumnarTraceLog` — drop-in storage for
-  :class:`~repro.trace.recorder.Tracer` events
-  (``Tracer(columnar=True)``) that materializes ``TraceEvent`` objects
-  only when an event is actually inspected;
-* :class:`CostTape` — an append-only (time, txn, node, kind) tape the
-  :class:`~repro.obs.ledger.CostLedger` can carry for post-hoc cost
-  timelines without per-event objects.
+  still iterates as ``(name, value)`` tuples.
 
 Results are identical to the list-backed containers; only the memory
 and allocation profile changes.
@@ -219,129 +212,3 @@ class PairColumn:
     def __repr__(self) -> str:
         return f"<PairColumn n={len(self)}>"
 
-
-class ColumnarTraceLog:
-    """Columnar storage for :class:`~repro.trace.recorder.TraceEvent`.
-
-    Protocol traces are extremely repetitive — a handful of node
-    names, message types and note strings repeated per transaction —
-    so every string field interns to an int column and the whole event
-    costs ~26 bytes instead of a 100+-byte dataclass.  Events are
-    materialized lazily: ``log[i]`` and iteration rebuild real
-    ``TraceEvent`` objects, so diagram rendering and tests see the
-    exact objects the list-backed tracer would have produced.
-    """
-
-    __slots__ = ("_time", "_kind", "_node", "_text", "_dst", "_forced",
-                 "_txn", "_interner")
-
-    def __init__(self) -> None:
-        self._interner = StringInterner()
-        self._time = array("d")
-        self._kind = array("i")
-        self._node = array("i")
-        self._text = array("i")
-        self._dst = array("i")
-        self._forced = array("b")   # -1 none / 0 false / 1 true
-        self._txn = array("i")
-
-    def append_fields(self, time: float, kind: str, node: str, text: str,
-                      dst: Optional[str], forced: Optional[bool],
-                      txn_id: Optional[str]) -> None:
-        intern = self._interner.intern
-        self._time.append(time)
-        self._kind.append(intern(kind))
-        self._node.append(intern(node))
-        self._text.append(intern(text))
-        self._dst.append(intern(dst))
-        self._forced.append(-1 if forced is None else int(forced))
-        self._txn.append(intern(txn_id))
-
-    def append(self, event) -> None:
-        """List-compatible append of an already-built TraceEvent."""
-        self.append_fields(event.time, event.kind, event.node, event.text,
-                           event.dst, event.forced, event.txn_id)
-
-    def _materialize(self, index: int):
-        from repro.trace.recorder import TraceEvent
-        lookup = self._interner.lookup
-        forced = self._forced[index]
-        return TraceEvent(
-            time=self._time[index],
-            kind=lookup(self._kind[index]),
-            node=lookup(self._node[index]),
-            text=lookup(self._text[index]),
-            dst=lookup(self._dst[index]),
-            forced=None if forced < 0 else bool(forced),
-            txn_id=lookup(self._txn[index]))
-
-    def __len__(self) -> int:
-        return len(self._time)
-
-    def __bool__(self) -> bool:
-        return len(self._time) > 0
-
-    def __iter__(self) -> Iterator:
-        for index in range(len(self._time)):
-            yield self._materialize(index)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._materialize(i)
-                    for i in range(*index.indices(len(self._time)))]
-        if index < 0:
-            index += len(self._time)
-        if not 0 <= index < len(self._time):
-            raise IndexError("trace index out of range")
-        return self._materialize(index)
-
-
-class CostTape:
-    """Append-only (time, txn, node, kind) tape of ledger cost events.
-
-    One row per cost the :class:`~repro.obs.ledger.CostLedger`
-    attributes — message send, delivery, log write, hardening — in
-    arrival order, four small scalars wide.  Lets a report reconstruct
-    *when* a transaction paid each cost without the ledger keeping a
-    per-event object alive.
-    """
-
-    __slots__ = ("_time", "_txn", "_node", "_kind", "_interner")
-
-    def __init__(self) -> None:
-        self._interner = StringInterner()
-        self._time = array("d")
-        self._txn = array("i")
-        self._node = array("i")
-        self._kind = array("i")
-
-    def record(self, time: float, txn_id: Optional[str],
-               node: Optional[str], kind: str) -> None:
-        intern = self._interner.intern
-        self._time.append(time)
-        self._txn.append(intern(txn_id))
-        self._node.append(intern(node))
-        self._kind.append(intern(kind))
-
-    def __len__(self) -> int:
-        return len(self._time)
-
-    def rows(self) -> Iterator[Tuple[float, Optional[str],
-                                     Optional[str], str]]:
-        lookup = self._interner.lookup
-        for index in range(len(self._time)):
-            yield (self._time[index], lookup(self._txn[index]),
-                   lookup(self._node[index]), lookup(self._kind[index]))
-
-    def for_txn(self, txn_id: str) -> List[Tuple[float, str, str]]:
-        """(time, node, kind) rows for one transaction, in order."""
-        return [(time, node, kind) for time, txn, node, kind in self.rows()
-                if txn == txn_id]
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        lookup = self._interner.lookup
-        for ident in self._kind:
-            kind = lookup(ident)
-            counts[kind] = counts.get(kind, 0) + 1
-        return counts

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cluster import Cluster
+from repro.hooks import Observer
 from repro.net.message import Message, MessageType
 
 
@@ -57,34 +58,21 @@ class ConversationViolation:
         return f"{self.session[0]}-{self.session[1]}: {self.detail}"
 
 
-class ConversationTracker:
-    """Observes a cluster's traffic and reconstructs session states."""
+class ConversationTracker(Observer):
+    """Observes a cluster's traffic and reconstructs session states.
+
+    The tracker watches *sends*, not deliveries, so a chaos adversary
+    that duplicates or reorders deliveries does not perturb the
+    session-state reconstruction — only what the sender actually put
+    on the wire counts.
+    """
 
     def __init__(self) -> None:
         self.sessions: Dict[Tuple[str, str], SessionState] = {}
         self.violations: List[ConversationViolation] = []
-        self._hook_list: Optional[list] = None
 
-    def attach(self, cluster: Cluster) -> "ConversationTracker":
-        self._hook_list = cluster.network.on_send
-        self._hook_list.append(self.observe)
-        return self
-
-    def detach(self) -> None:
-        """Stop observing; keeps the reconstructed state (idempotent).
-
-        The tracker watches *sends*, not deliveries, so a chaos
-        adversary that duplicates or reorders deliveries does not
-        perturb the session-state reconstruction — only what the
-        sender actually put on the wire counts.
-        """
-        hooks = getattr(self, "_hook_list", None)
-        if hooks is not None:
-            try:
-                hooks.remove(self.observe)
-            except ValueError:
-                pass  # hook list was externally cleared
-            self._hook_list = None
+    def _install(self, cluster: Cluster) -> None:
+        self.hook(cluster.network.on_send, self.observe)
 
     def session(self, a: str, b: str) -> SessionState:
         key = _session_key(a, b)

@@ -34,8 +34,7 @@ from repro.obs.audit import (AuditFinding, ConformanceAuditor,
                              expected_costs, merge_audit_cells,
                              run_audit_cell, run_audit_matrix,
                              run_faulty_audit_cell)
-from repro.metrics.columns import (ColumnarTraceLog, CostTape,
-                                   FloatColumn, IntColumn, PairColumn,
+from repro.metrics.columns import (FloatColumn, IntColumn, PairColumn,
                                    StringInterner)
 from repro.obs.causal import CausalGraph, build_causal_graph
 from repro.obs.diff import (Divergence, diff_journals,
@@ -62,10 +61,8 @@ from repro.obs.tracer import PHASE_OF_STATE, SpanTracer
 __all__ = [
     "AuditFinding",
     "CausalGraph",
-    "ColumnarTraceLog",
     "ConformanceAuditor",
     "CostLedger",
-    "CostTape",
     "Divergence",
     "FloatColumn",
     "IntColumn",

@@ -31,6 +31,7 @@ from repro.analysis.formulas import (
     pc_commit_costs,
     pn_commit_costs,
 )
+from repro.hooks import Observer
 from repro.metrics.collector import CostSummary
 
 #: The audit matrix: every presumption crossed with every variant.
@@ -131,7 +132,7 @@ Predictor = Union[CostSummary, Dict[str, CostSummary],
                   Callable[[str], Optional[CostSummary]], None]
 
 
-class ConformanceAuditor:
+class ConformanceAuditor(Observer):
     """Audits each transaction against its predicted cost triple.
 
     Rides a :class:`~repro.obs.ledger.CostLedger` (which must be
@@ -152,45 +153,25 @@ class ConformanceAuditor:
                  zero_tolerance: bool = False) -> None:
         self.predictor = predictor
         self.zero_tolerance = zero_tolerance
-        self.cluster = None
         self.ledger = None
         self.findings: List[AuditFinding] = []
         self._audited: set = set()
         self._states: Dict[str, Dict[str, object]] = {}
-        self._installed: List = []
 
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, cluster, ledger) -> "ConformanceAuditor":
-        if self.cluster is cluster:
-            return self
-        if self.cluster is not None:
-            raise RuntimeError("ConformanceAuditor is already attached to "
-                               "a different cluster; detach() first")
-        if ledger.cluster is not cluster:
-            raise RuntimeError("the ledger must be attached to the same "
-                               "cluster before the auditor")
-        self.cluster = cluster
-        self.ledger = ledger
+        if self.cluster is None:
+            if ledger.cluster is not cluster:
+                raise RuntimeError("the ledger must be attached to the same "
+                                   "cluster before the auditor")
+            self.ledger = ledger
+        return super().attach(cluster)
+
+    def _install(self, cluster) -> None:
         for node in cluster.nodes.values():
-            node.on_transition.append(self._on_transition)
-            self._installed.append((node.on_transition, self._on_transition))
-        return self
-
-    def detach(self) -> None:
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        self.cluster = None
-        self.ledger = None
-
-    @property
-    def attached(self) -> bool:
-        return self.cluster is not None
+            self.hook(node.on_transition, self._on_transition)
 
     # ------------------------------------------------------------------
     # Completion tracking

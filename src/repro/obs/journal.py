@@ -53,6 +53,8 @@ from functools import partial
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
+from repro.hooks import Observer
+
 #: Journal wire-format version; bumped on any incompatible change.
 SCHEMA = "repro-journal/1"
 
@@ -349,14 +351,8 @@ def _mode_name(mode) -> str:
     return str(mode) if name is None else name
 
 
-class JournalRecorder:
+class JournalRecorder(Observer):
     """Records a cluster run as a causally-linked journal.
-
-    Attach/detach follow the Tracer contract: attaching twice to the
-    same cluster is a no-op, attaching elsewhere while attached
-    raises, ``detach()`` removes every installed hook and is
-    idempotent.  All installs are list-appends, so an unattached
-    cluster pays nothing.
 
     ``kernel_events`` additionally journals every simulator event
     dispatch (huge — debugging only; every event name is interned).
@@ -367,13 +363,10 @@ class JournalRecorder:
 
     def __init__(self, kernel_events: bool = False,
                  segment: Optional[str] = None) -> None:
-        self.cluster = None
         self.kernel_events = kernel_events
         #: The journal itself.
         self.rows = JournalRows(segment)
         self._clock = None
-        self._installed: List[Tuple[list, object]] = []
-        self._kernel_hook = None
         # Causal bookkeeping.
         self._last_at_site: Dict[str, int] = {}
         self._last_txn_site: Dict[Tuple[str, str], int] = {}
@@ -389,58 +382,23 @@ class JournalRecorder:
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
-    def attach(self, cluster) -> "JournalRecorder":
-        if self.cluster is cluster:
-            return self
-        if self.cluster is not None:
-            raise RuntimeError("JournalRecorder is already attached to a "
-                               "different cluster; detach() first")
-        self.cluster = cluster
+    def _install(self, cluster) -> None:
         self._clock = cluster.simulator
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_send)
-        install(cluster.network.on_deliver, self._on_deliver)
+        self.hook(cluster.network.on_send, self._on_send)
+        self.hook(cluster.network.on_deliver, self._on_deliver)
         for node in cluster.nodes.values():
-            install(node.on_transition, self._on_transition)
-            seen_logs = set()
-            for rm in [node] + node.all_rms():
-                log = getattr(rm, "log", None)
-                if log is None or id(log) in seen_logs:
-                    continue
-                seen_logs.add(id(log))
-                install(log.on_write, self._on_write)
-                install(log.on_flush, self._on_flush)
+            self.hook(node.on_transition, self._on_transition)
+            for log in node.logs():
+                self.hook(log.on_write, self._on_write)
+                self.hook(log.on_flush, self._on_flush)
             for rm in node.all_rms():
                 locks = rm.locks
-                install(locks.on_wait, partial(self._on_wait, node.name))
-                install(locks.on_grant, partial(self._on_grant, node.name))
-                install(locks.on_release,
-                        partial(self._on_release, node.name))
+                self.hook(locks.on_wait, partial(self._on_wait, node.name))
+                self.hook(locks.on_grant, partial(self._on_grant, node.name))
+                self.hook(locks.on_release,
+                          partial(self._on_release, node.name))
         if self.kernel_events:
-            self._kernel_hook = self._on_kernel
-            cluster.simulator.add_event_hook(self._kernel_hook)
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook (idempotent)."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        if self.cluster is not None and self._kernel_hook is not None:
-            self.cluster.simulator.remove_event_hook(self._kernel_hook)
-        self._kernel_hook = None
-        self.cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self.cluster is not None
+            self.event_hook(cluster.simulator, self._on_kernel)
 
     # ------------------------------------------------------------------
     # Emission

@@ -29,10 +29,11 @@ locks.on_release      close it and accumulate lock time
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+from repro.hooks import Observer
 from repro.metrics.collector import CostSummary
-from repro.metrics.columns import CostTape
 
 #: Data (WAL) records are pre-commit work; the tables count protocol
 #: records only (same convention as MetricsCollector.DATA_RECORD_TYPES).
@@ -115,87 +116,31 @@ class TxnLedger:
         }
 
 
-class CostLedger:
-    """Attributes every cost event of a cluster run to its transaction.
+class CostLedger(Observer):
+    """Attributes every cost event of a cluster run to its transaction."""
 
-    Attach/detach follow the Tracer contract: attaching twice to the
-    same cluster is a no-op, attaching elsewhere while attached raises,
-    ``detach()`` removes every installed hook and is idempotent.
-    """
-
-    def __init__(self, tape: bool = False) -> None:
-        self.cluster = None
+    def __init__(self) -> None:
         self.entries: Dict[str, TxnLedger] = {}
         self._states: Dict[Tuple[str, str], str] = {}
         self._open_holds: Dict[Tuple[str, str, str], LockHold] = {}
-        self._installed: List[Tuple[object, object]] = []
-        #: Optional columnar (time, txn, node, kind) event tape —
-        #: per-event cost *timing* without per-event objects; see
-        #: :class:`repro.metrics.columns.CostTape`.
-        self.tape: Optional[CostTape] = CostTape() if tape else None
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
-    def attach(self, cluster) -> "CostLedger":
-        if self.cluster is cluster:
-            return self
-        if self.cluster is not None:
-            raise RuntimeError("CostLedger is already attached to a "
-                               "different cluster; detach() first")
-        self.cluster = cluster
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_send)
-        install(cluster.network.on_deliver, self._on_deliver)
+    def _install(self, cluster) -> None:
+        self.hook(cluster.network.on_send, self._on_send)
+        self.hook(cluster.network.on_deliver, self._on_deliver)
         for node in cluster.nodes.values():
-            install(node.on_transition, self._on_transition)
-            seen_logs = set()
-            for rm in [node] + node.all_rms():
-                log = getattr(rm, "log", None)
-                if log is None or id(log) in seen_logs:
-                    continue
-                seen_logs.add(id(log))
-                install(log.on_write, self._on_write)
-                install(log.on_flush, self._on_flush)
+            self.hook(node.on_transition, self._on_transition)
+            for log in node.logs():
+                self.hook(log.on_write, self._on_write)
+                self.hook(log.on_flush, self._on_flush)
             for rm in node.all_rms():
-                locks = rm.locks
-                node_name = node.name
-
-                def on_grant(txn_id, key, mode, _node=node_name):
-                    self._on_grant(_node, txn_id, key, mode)
-
-                def on_release(txn_id, key, _node=node_name):
-                    self._on_release(_node, txn_id, key)
-
-                install(locks.on_grant, on_grant)
-                install(locks.on_release, on_release)
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook (idempotent)."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        self.cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self.cluster is not None
+                self.hook(rm.locks.on_grant,
+                          partial(self._on_grant, node.name))
+                self.hook(rm.locks.on_release,
+                          partial(self._on_release, node.name))
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    @property
-    def _now(self) -> float:
-        return self.cluster.simulator.now if self.cluster else 0.0
-
     def entry(self, txn_id: str) -> TxnLedger:
         ledger = self.entries.get(txn_id)
         if ledger is None:
@@ -221,9 +166,6 @@ class CostLedger:
     def _on_send(self, message) -> None:
         ledger = self.entry(message.txn_id)
         self._touch(ledger)
-        if self.tape is not None:
-            self.tape.record(self._now, message.txn_id, message.src,
-                             "send")
         phase = self._phase(message.txn_id, message.src)
         key = (message.src, phase, message.msg_type.value)
         ledger.flows[key] = ledger.flows.get(key, 0) + 1
@@ -238,17 +180,11 @@ class CostLedger:
     def _on_deliver(self, message) -> None:
         ledger = self.entry(message.txn_id)
         self._touch(ledger)
-        if self.tape is not None:
-            self.tape.record(self._now, message.txn_id, message.dst,
-                             "deliver")
         ledger.delivered += 1
 
     def _on_write(self, record) -> None:
         ledger = self.entry(record.txn_id)
         self._touch(ledger)
-        if self.tape is not None:
-            self.tape.record(self._now, record.txn_id, record.node,
-                             "force" if record.forced else "write")
         rtype = record.record_type.value
         phase = self._phase(record.txn_id, record.node)
         key = (record.node, phase, rtype, record.forced)

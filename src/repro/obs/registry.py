@@ -26,8 +26,10 @@ prometheus_text` for anything that is still running.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Sequence, Tuple
 
+from repro.hooks import Observer
 from repro.metrics.histogram import Histogram, geometric_bounds
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -219,15 +221,14 @@ class MetricFamily:
         return lines
 
 
-class MetricsRegistry:
+class MetricsRegistry(Observer):
     """Labeled counters/gauges/histograms with Prometheus exposition.
 
     Use it standalone (``registry.counter(...)`` etc.), or call
     :meth:`attach` to subscribe the built-in cluster instrumentation to
-    a (simulated or live) cluster's hooks.  Attach/detach follow the
-    Tracer contract: attaching twice to the same cluster is a no-op,
-    attaching elsewhere while attached raises, and ``detach()``
-    restores every hook chain exactly (idempotent).
+    a (simulated or live) cluster's hooks; the accumulated series
+    survive ``detach()`` — the registry is a record of what it saw,
+    not a live view.
     """
 
     def __init__(self, prefix: str = "repro") -> None:
@@ -235,9 +236,6 @@ class MetricsRegistry:
             raise ValueError(f"invalid metric prefix {prefix!r}")
         self.prefix = prefix
         self._families: Dict[str, MetricFamily] = {}
-        # Attachment state.
-        self.cluster = None
-        self._installed: List[Tuple[list, object]] = []
         # Cluster-feed bookkeeping (all O(1) per event).
         self._open: Dict[Tuple[str, str], bool] = {}
         self._in_doubt_since: Dict[Tuple[str, str], float] = {}
@@ -311,20 +309,13 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Cluster feed
     # ------------------------------------------------------------------
-    def attach(self, cluster) -> "MetricsRegistry":
+    def _install(self, cluster) -> None:
         """Subscribe the built-in instrumentation to ``cluster``.
 
         Works identically for :class:`repro.core.cluster.Cluster` and
         :class:`repro.transport.live.LiveCluster` — both expose the
         same hook surface.
         """
-        if self.cluster is cluster:
-            return self
-        if self.cluster is not None:
-            raise RuntimeError("MetricsRegistry is already attached to a "
-                               "different cluster; detach() first")
-        self.cluster = cluster
-
         # Pre-declare every family so /metrics is complete (and the
         # exposition shape stable) before the first event arrives.
         sends = self.counter(
@@ -403,10 +394,6 @@ class MetricsRegistry:
         held_series = _Children(locks_held.labels)
         value_of = _Children(lambda member: member.value)
 
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
         def on_send(message) -> None:
             send_series[message.msg_type, message.src].inc()
 
@@ -458,67 +445,36 @@ class MetricsRegistry:
         def on_recovery(record) -> None:
             recovery_seconds.labels(record.node).observe(record.seconds)
 
-        install(cluster.network.on_send, on_send)
-        install(cluster.network.on_deliver, on_deliver)
-        install(cluster.metrics.on_transaction, on_transaction)
-        install(cluster.metrics.on_heuristic, on_heuristic)
-        install(cluster.metrics.on_recovery, on_recovery)
+        def on_wait(node, txn_id, key, mode) -> None:
+            lock_wait_series[node].inc()
+            waiter_series[node].inc()
+            self._wait_since[(node, txn_id, key)] = simulator.now
+
+        def on_grant(node, txn_id, key, mode) -> None:
+            held_series[node].inc()
+            self._grant_since[(node, txn_id, key)] = simulator.now
+            since = self._wait_since.pop((node, txn_id, key), None)
+            if since is not None:
+                waiter_series[node].dec()
+                lock_wait_time.labels().observe(simulator.now - since)
+
+        def on_release(node, txn_id, key) -> None:
+            held_series[node].dec()
+            since = self._grant_since.pop((node, txn_id, key), None)
+            if since is not None:
+                lock_hold_time.labels().observe(simulator.now - since)
+
+        self.hook(cluster.network.on_send, on_send)
+        self.hook(cluster.network.on_deliver, on_deliver)
+        self.hook(cluster.metrics.on_transaction, on_transaction)
+        self.hook(cluster.metrics.on_heuristic, on_heuristic)
+        self.hook(cluster.metrics.on_recovery, on_recovery)
         for node in cluster.nodes.values():
-            install(node.on_transition, on_transition)
-            seen_logs = set()
-            for rm in [node] + node.all_rms():
-                log = getattr(rm, "log", None)
-                if log is None or id(log) in seen_logs:
-                    continue
-                seen_logs.add(id(log))
-                install(log.on_write, on_write)
-                install(log.on_flush, on_flush)
+            self.hook(node.on_transition, on_transition)
+            for log in node.logs():
+                self.hook(log.on_write, on_write)
+                self.hook(log.on_flush, on_flush)
             for rm in node.all_rms():
-                locks = rm.locks
-                node_name = node.name
-
-                def on_wait(txn_id, key, mode, _node=node_name):
-                    lock_wait_series[_node].inc()
-                    waiter_series[_node].inc()
-                    self._wait_since[(_node, txn_id, key)] = simulator.now
-
-                def on_grant(txn_id, key, mode, _node=node_name):
-                    held_series[_node].inc()
-                    self._grant_since[(_node, txn_id, key)] = simulator.now
-                    since = self._wait_since.pop((_node, txn_id, key),
-                                                 None)
-                    if since is not None:
-                        waiter_series[_node].dec()
-                        lock_wait_time.labels().observe(
-                            simulator.now - since)
-
-                def on_release(txn_id, key, _node=node_name):
-                    held_series[_node].dec()
-                    since = self._grant_since.pop((_node, txn_id, key),
-                                                  None)
-                    if since is not None:
-                        lock_hold_time.labels().observe(
-                            simulator.now - since)
-
-                install(locks.on_wait, on_wait)
-                install(locks.on_grant, on_grant)
-                install(locks.on_release, on_release)
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook (idempotent).
-
-        The accumulated series survive detach — the registry is a
-        record of what it saw, not a live view.
-        """
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        self.cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self.cluster is not None
+                self.hook(rm.locks.on_wait, partial(on_wait, node.name))
+                self.hook(rm.locks.on_grant, partial(on_grant, node.name))
+                self.hook(rm.locks.on_release, partial(on_release, node.name))

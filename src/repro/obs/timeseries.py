@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
+
+from repro.hooks import Observer
 
 SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
@@ -29,14 +31,13 @@ GAUGE_NAMES = (
 )
 
 
-class SimTimeSeries:
+class SimTimeSeries(Observer):
     """Deterministic sim-time sampling of cluster gauges.
 
     Samples every ``interval`` units of *virtual* time (checked from
     the kernel's event hook, so a quiescent simulator takes no
     samples and a busy one samples exactly when the clock first
     crosses each boundary) into ring buffers of ``capacity`` points.
-    Attach/detach follow the Tracer contract.
     """
 
     def __init__(self, interval: float = 1.0,
@@ -47,41 +48,19 @@ class SimTimeSeries:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.interval = interval
         self.capacity = capacity
-        self.cluster = None
         self.series: Dict[str, Deque[Tuple[float, float]]] = {
             name: deque(maxlen=capacity) for name in GAUGE_NAMES}
         self._next_sample = 0.0
-        self._hook: Optional[Callable] = None
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
-    def attach(self, cluster) -> "SimTimeSeries":
-        if self.cluster is cluster:
-            return self
-        if self.cluster is not None:
-            raise RuntimeError("SimTimeSeries is already attached to a "
-                               "different cluster; detach() first")
-        self.cluster = cluster
-        self._next_sample = cluster.simulator.now
+    def _install(self, cluster) -> None:
+        simulator = cluster.simulator
+        self._next_sample = simulator.now
 
         def on_event(event) -> None:
-            if cluster.simulator.now >= self._next_sample:
+            if simulator.now >= self._next_sample:
                 self.sample()
 
-        self._hook = on_event
-        cluster.simulator.add_event_hook(on_event)
-        return self
-
-    def detach(self) -> None:
-        if self.cluster is not None and self._hook is not None:
-            self.cluster.simulator.remove_event_hook(self._hook)
-        self._hook = None
-        self.cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self.cluster is not None
+        self.event_hook(simulator, on_event)
 
     # ------------------------------------------------------------------
     # Gauges
@@ -92,7 +71,6 @@ class SimTimeSeries:
         in_flight = set()
         granted = waiters = 0
         pending_forces = 0
-        seen_logs = set()
         for node in cluster.nodes.values():
             for txn_id, context in node.contexts.items():
                 if not context.state.terminal:
@@ -100,14 +78,8 @@ class SimTimeSeries:
             for rm in node.all_rms():
                 granted += rm.locks.granted_count()
                 waiters += rm.locks.total_waiting()
-                log = getattr(rm, "log", None)
-                if log is not None and id(log) not in seen_logs:
-                    seen_logs.add(id(log))
-                    pending_forces += log.pending_force_count
-            log = node.log
-            if id(log) not in seen_logs:
-                seen_logs.add(id(log))
-                pending_forces += log.pending_force_count
+            pending_forces += sum(log.pending_force_count
+                                  for log in node.logs())
         network = cluster.network
         lost = (metrics.drops.total(reason="partition")
                 + metrics.drops.total(reason="crashed"))

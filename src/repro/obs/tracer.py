@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.states import TxnState
+from repro.hooks import Observer
 from repro.obs.span import (KIND_LOG, KIND_MESSAGE, KIND_PHASE, KIND_TXN,
                             Span)
 
@@ -65,76 +66,30 @@ ROOT_FINAL_STATES = frozenset({
 })
 
 
-class SpanTracer:
+class SpanTracer(Observer):
     """Collects spans from one cluster.  Attach, run, export."""
 
     def __init__(self) -> None:
-        self.cluster = None
         self.spans: List[Span] = []
         self._next_id = 1
         self._roots: Dict[str, Span] = {}                # txn -> root span
         self._phases: Dict[Tuple[str, str], Span] = {}   # (txn, node) -> span
         self._forces: Dict[Tuple[int, int], Span] = {}   # (log id, lsn)
         self._messages: Dict[int, Span] = {}             # msg_id -> span
-        self._installed: List[Tuple[list, object]] = []
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
-    def attach(self, cluster) -> "SpanTracer":
-        """Install hooks on every node, log and the network.
-
-        Attaching twice to the same cluster is a no-op; attaching to a
-        different cluster while still attached is an error (detach
-        first).
-        """
-        if self.cluster is cluster:
-            return self
-        if self.cluster is not None:
-            raise RuntimeError("SpanTracer is already attached to a "
-                               "different cluster; detach() first")
-        self.cluster = cluster
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_send)
-        install(cluster.network.on_deliver, self._on_deliver)
+    def _install(self, cluster) -> None:
+        self.hook(cluster.network.on_send, self._on_send)
+        self.hook(cluster.network.on_deliver, self._on_deliver)
         for node in cluster.nodes.values():
-            install(node.on_transition, self._on_transition)
-            install(node.on_note, self._on_note)
-            seen_logs = set()
-            for rm in [node] + node.all_rms():
-                log = rm.log
-                if id(log) in seen_logs:
-                    continue
-                seen_logs.add(id(log))
-                install(log.on_write, self._on_write)
-                install(log.on_flush, self._on_flush)
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook (idempotent)."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        self.cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self.cluster is not None
+            self.hook(node.on_transition, self._on_transition)
+            self.hook(node.on_note, self._on_note)
+            for log in node.logs():
+                self.hook(log.on_write, self._on_write)
+                self.hook(log.on_flush, self._on_flush)
 
     # ------------------------------------------------------------------
     # Span bookkeeping
     # ------------------------------------------------------------------
-    @property
-    def _now(self) -> float:
-        return self.cluster.simulator.now if self.cluster else 0.0
-
     def _open(self, name: str, kind: str, node: str, txn_id: str,
               parent: Optional[Span]) -> Span:
         span = Span(span_id=self._next_id, name=name, kind=kind, node=node,

@@ -35,15 +35,17 @@ calling into the cluster synchronously while a site is armed.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.injector import CrashSite
+from repro.hooks import Observer
 from repro.log.records import LogRecord
 from repro.net.message import Message
 from repro.sim.kernel import EventInterrupt
 
 
-class SiteRecorder:
+class SiteRecorder(Observer):
     """Collects every crash site fired during a (clean) run.
 
     Counting contract (shared with :class:`ArmedCrash`, which must
@@ -57,47 +59,13 @@ class SiteRecorder:
     def __init__(self) -> None:
         self.sites: List[CrashSite] = []
         self._counts: Dict[Tuple[str, str], int] = {}
-        self._cluster = None
-        #: (hook list, installed callable) pairs, so detach() removes
-        #: exactly what attach() added.
-        self._installed: List[tuple] = []
 
-    def attach(self, cluster) -> "SiteRecorder":
-        """Install observation hooks (same contract as Tracer: same
-        cluster re-attach is a no-op, different cluster is an error)."""
-        if self._cluster is cluster:
-            return self
-        if self._cluster is not None:
-            raise RuntimeError("SiteRecorder is already attached to a "
-                               "different cluster; detach() first")
-        self._cluster = cluster
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_send)
-        install(cluster.network.on_deliver, self._on_deliver)
+    def _install(self, cluster) -> None:
+        self.hook(cluster.network.on_send, self._on_send)
+        self.hook(cluster.network.on_deliver, self._on_deliver)
         for node in cluster.nodes.values():
-            install(node.log.on_write,
-                    lambda record, name=node.name: self._on_write(
-                        name, record))
-            for rm in node.detached_rms.values():
-                if rm.log is not node.log:
-                    install(rm.log.on_write,
-                            lambda record, name=node.name: self._on_write(
-                                name, record))
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook; keeps collected sites."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        self._cluster = None
+            for log in node.logs():
+                self.hook(log.on_write, partial(self._on_write, node.name))
 
     # ------------------------------------------------------------------
     def _next_seq(self, kind: str, node: str) -> int:
@@ -126,25 +94,22 @@ class SiteRecorder:
             label=f"{message.msg_type.value}<-{message.src}"))
 
 
-class ArmedCrash:
+class ArmedCrash(Observer):
     """Crash ``site.node`` exactly at the armed site (one-shot).
 
     ``on_crash`` runs right after the node's ``crash()`` (still inside
     the interrupted event's cleanup); ``on_restart`` runs right after
     ``restart()`` finishes restart recovery — the window in which
     recovery-lock invariants are checkable before the simulator runs
-    on.
+    on.  Firing detaches it.
     """
 
-    def __init__(self, cluster, site: CrashSite, when: str = "pre",
+    def __init__(self, site: CrashSite, when: str = "pre",
                  restart_after: Optional[float] = None,
                  on_crash: Optional[Callable[[], None]] = None,
                  on_restart: Optional[Callable[[], None]] = None) -> None:
         if when not in ("pre", "post"):
             raise ValueError(f"when must be 'pre' or 'post', got {when!r}")
-        if site.node not in cluster.nodes:
-            raise ValueError(f"site names unknown node {site.node!r}")
-        self.cluster = cluster
         self.site = site
         self.when = when
         self.restart_after = restart_after
@@ -155,50 +120,29 @@ class ArmedCrash:
         self._count = 0
         self._pending_message: Optional[Message] = None
         self._armed_flush: Optional[tuple] = None  # (log, lsn)
-        self._installed: List[tuple] = []
 
     # ------------------------------------------------------------------
-    def attach(self) -> "ArmedCrash":
-        network = self.cluster.network
-        node = self.cluster.nodes[self.site.node]
+    def _install(self, cluster) -> None:
+        node = cluster.nodes.get(self.site.node)
+        if node is None:
+            raise ValueError(f"site names unknown node {self.site.node!r}")
+        network = cluster.network
+        # Front insertion: a "pre" interrupt must fire before any
+        # observer (checker, tracer) records an action that, per the
+        # crash semantics, never happened.
         if self.site.kind == "send":
-            # Front insertion: a "pre" interrupt must fire before any
-            # observer (checker, tracer) records a send that, per the
-            # crash semantics, never happened.
-            self._install(network.on_send, self._on_send, front=True)
+            self.hook(network.on_send, self._on_send, front=True)
             if self.when == "post":
-                self._install(network.on_transmit, self._on_transmit)
+                self.hook(network.on_transmit, self._on_transmit)
         elif self.site.kind == "deliver":
-            self._install(network.on_deliver, self._on_deliver, front=True)
+            self.hook(network.on_deliver, self._on_deliver, front=True)
             if self.when == "post":
-                self._install(network.on_handled, self._on_handled)
+                self.hook(network.on_handled, self._on_handled)
         else:  # force
-            logs = [node.log] + [rm.log for rm in node.detached_rms.values()
-                                 if rm.log is not node.log]
-            for log in logs:
-                self._install(log.on_write,
-                              lambda record, log=log: self._on_write(
-                                  log, record),
-                              front=True)
-                self._install(log.on_flush,
-                              lambda records, log=log: self._on_flush(
-                                  log, records))
-        return self
-
-    def detach(self) -> None:
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-
-    def _install(self, hook_list: list, hook, front: bool = False) -> None:
-        if front:
-            hook_list.insert(0, hook)
-        else:
-            hook_list.append(hook)
-        self._installed.append((hook_list, hook))
+            for log in node.logs():
+                self.hook(log.on_write, partial(self._on_write, log),
+                          front=True)
+                self.hook(log.on_flush, partial(self._on_flush, log))
 
     # ------------------------------------------------------------------
     # Hook handlers (each counts exactly like SiteRecorder)
@@ -267,17 +211,19 @@ class ArmedCrash:
         raise EventInterrupt(on_interrupt=self._crash)
 
     def _crash(self) -> None:
+        node = self.cluster.nodes[self.site.node]
+        simulator = self.cluster.simulator
         self.detach()
-        self.cluster.nodes[self.site.node].crash()
+        node.crash()
         if self.on_crash is not None:
             self.on_crash()
         if self.restart_after is not None:
-            simulator = self.cluster.simulator
-            simulator.at(simulator.now + self.restart_after, self._restart,
+            simulator.at(simulator.now + self.restart_after,
+                         partial(self._restart, node),
                          name=f"torture-restart:{self.site.node}")
 
-    def _restart(self) -> None:
-        self.cluster.nodes[self.site.node].restart()
+    def _restart(self, node) -> None:
+        node.restart()
         if self.on_restart is not None:
             self.on_restart()
 
@@ -287,5 +233,6 @@ def arm_crash(cluster, site: CrashSite, when: str = "pre",
               on_crash: Optional[Callable[[], None]] = None,
               on_restart: Optional[Callable[[], None]] = None) -> ArmedCrash:
     """Arm a one-shot crash at ``site`` on ``cluster`` and return it."""
-    return ArmedCrash(cluster, site, when=when, restart_after=restart_after,
-                      on_crash=on_crash, on_restart=on_restart).attach()
+    return ArmedCrash(site, when=when, restart_after=restart_after,
+                      on_crash=on_crash,
+                      on_restart=on_restart).attach(cluster)

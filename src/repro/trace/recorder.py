@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.cluster import Cluster
+from repro.hooks import Observer
 from repro.log.records import LogRecord
-from repro.metrics.columns import ColumnarTraceLog
 from repro.net.message import Message
 
 
@@ -36,100 +36,38 @@ class TraceEvent:
         return f"[{self.time:8.2f}] {self.node}: {self.text}"
 
 
-class Tracer:
+class Tracer(Observer):
     """Collects protocol events from a cluster.
 
     Attach before running the workload: hooks are installed on the
     network and on every node that exists at attach time.
-
-    ``columnar=True`` stores events in a
-    :class:`~repro.metrics.columns.ColumnarTraceLog` — interned
-    strings and typed buffers instead of one dataclass per event — and
-    materializes ``TraceEvent`` objects lazily on read.  Every query
-    (``for_txn``, ``flows``, ``transcript``, iteration, indexing)
-    behaves identically; only the storage cost changes.
     """
 
-    def __init__(self, columnar: bool = False) -> None:
-        if columnar:
-            log = ColumnarTraceLog()
-            self.events = log
-            self._emit = log.append_fields
-        else:
-            self.events = []
-            self._emit = self._emit_object
-        self._cluster: Optional[Cluster] = None
-        #: (hook list, installed callable) pairs, so detach() removes
-        #: exactly what attach() added.
-        self._installed: List[tuple] = []
+    def __init__(self) -> None:
+        self.events: List[TraceEvent] = []
 
-    def attach(self, cluster: Cluster) -> "Tracer":
-        """Install hooks on the cluster.
-
-        Re-attaching to the same cluster is a no-op (hooks are never
-        installed twice); attaching to a different cluster while still
-        attached is an error — call :meth:`detach` first.
-        """
-        if self._cluster is cluster:
-            return self
-        if self._cluster is not None:
-            raise RuntimeError("Tracer is already attached to a different "
-                               "cluster; detach() first")
-        self._cluster = cluster
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_flow)
+    def _install(self, cluster: Cluster) -> None:
+        self.hook(cluster.network.on_send, self._on_flow)
         for node in cluster.nodes.values():
-            install(node.log.on_write,
-                    lambda record, node=node: self._on_log(record))
-            install(node.on_note, self._on_note)
-            for rm in node.detached_rms.values():
-                if rm.log is not node.log:
-                    install(rm.log.on_write,
-                            lambda record: self._on_log(record))
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook; keeps collected events (idempotent)."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass  # hook list was externally cleared; nothing to do
-        self._installed = []
-        self._cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self._cluster is not None
+            self.hook(node.on_note, self._on_note)
+            for log in node.logs():
+                self.hook(log.on_write, self._on_log)
 
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        return self._cluster.simulator.now if self._cluster else 0.0
-
-    def _emit_object(self, time: float, kind: str, node: str, text: str,
-                     dst: Optional[str], forced: Optional[bool],
-                     txn_id: Optional[str]) -> None:
-        self.events.append(TraceEvent(
-            time=time, kind=kind, node=node, text=text, dst=dst,
-            forced=forced, txn_id=txn_id))
-
     def _on_flow(self, message: Message) -> None:
         flags = ",".join(sorted(k for k, v in message.flags.items() if v))
         text = message.msg_type.value + (f" [{flags}]" if flags else "")
-        self._emit(self._now(), "flow", message.src, text,
-                   message.dst, None, message.txn_id)
+        self.events.append(TraceEvent(self._now, "flow", message.src, text,
+                                      message.dst, None, message.txn_id))
 
     def _on_log(self, record: LogRecord) -> None:
-        self._emit(self._now(), "log", record.node,
-                   record.record_type.value, None, record.forced,
-                   record.txn_id)
+        self.events.append(TraceEvent(
+            self._now, "log", record.node, record.record_type.value, None,
+            record.forced, record.txn_id))
 
     def _on_note(self, node: str, txn_id: str, text: str) -> None:
-        self._emit(self._now(), "note", node, text, None, None, txn_id)
+        self.events.append(TraceEvent(self._now, "note", node, text, None,
+                                      None, txn_id))
 
     # ------------------------------------------------------------------
     def for_txn(self, txn_id: str) -> List[TraceEvent]:

@@ -33,6 +33,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import List, Optional, TYPE_CHECKING
 
+from repro.hooks import Observer
 from repro.log.records import LogRecord, LogRecordType
 from repro.sim.kernel import EventInterrupt
 from repro.sim.randomness import RandomStream
@@ -92,19 +93,27 @@ class ArmedLiveCrash:
     restart_task: Optional["asyncio.Task"] = field(default=None, repr=False)
 
 
-class LiveFaultInjector:
-    """Seeded fault injection for a live cluster."""
+class LiveFaultInjector(Observer):
+    """Seeded fault injection for a live cluster (attached on creation;
+    ``detach()`` removes the armed crash hooks and the frame filters)."""
 
     def __init__(self, cluster: "LiveCluster", seed: int = 0) -> None:
-        self.cluster = cluster
         self.rng = RandomStream(seed ^ 0xFA_017)
         self.killed: List[str] = []
         self.restarts: List[RestartInfo] = []
         self._rules: List[_FrameRule] = []
         self._armed: List[ArmedLiveCrash] = []
-        self._hooks: List = []   # (hook_list, hook) pairs for detach
+        self.attach(cluster)
+
+    def _install(self, cluster: "LiveCluster") -> None:
         cluster.transport.send_filter = self._filter_frame
         cluster.transport.on_frame_dropped = self._frame_dropped
+
+    def detach(self) -> None:
+        if self.cluster is not None:
+            self.cluster.transport.send_filter = None
+            self.cluster.transport.on_frame_dropped = None
+        super().detach()
 
     # ------------------------------------------------------------------
     # Node kill / restart
@@ -224,9 +233,7 @@ class LiveFaultInjector:
                     armed.fired_at = self.cluster.simulator.now
                     raise EventInterrupt(on_interrupt=lambda:
                                          self._crash(armed, restart_after))
-        hook_list = log.on_write if when == "pre" else log.on_flush
-        hook_list.append(hook)
-        self._hooks.append((hook_list, hook))
+        self.hook(log.on_write if when == "pre" else log.on_flush, hook)
         self._armed.append(armed)
         return armed
 
@@ -236,14 +243,15 @@ class LiveFaultInjector:
         wipe happens synchronously (nothing else runs first); socket
         teardown and the optional restart continue as a task."""
         name = armed.node
+        cluster = self.cluster
         self.killed.append(name)
-        self.cluster.begin_kill(name)
+        cluster.begin_kill(name)
 
         async def teardown() -> None:
-            await self.cluster.finish_kill(name)
+            await cluster.finish_kill(name)
             if restart_after is not None:
                 await asyncio.sleep(restart_after)
-                info = await restart_node(self.cluster, name)
+                info = await restart_node(cluster, name)
                 self.restarts.append(info)
         armed.restart_task = asyncio.ensure_future(teardown())
 
@@ -252,12 +260,3 @@ class LiveFaultInjector:
         for armed in self._armed:
             if armed.restart_task is not None:
                 await armed.restart_task
-
-    def detach(self) -> None:
-        """Remove armed hooks and the transport filters."""
-        for hook_list, hook in self._hooks:
-            if hook in hook_list:
-                hook_list.remove(hook)
-        self._hooks.clear()
-        self.cluster.transport.send_filter = None
-        self.cluster.transport.on_frame_dropped = None

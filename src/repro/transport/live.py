@@ -28,7 +28,6 @@ from repro.core.handle import TransactionHandle
 from repro.core.node import TMNode
 from repro.core.spec import TransactionSpec
 from repro.errors import ConfigurationError
-from repro.log.records import LogRecordType
 from repro.metrics.collector import MetricsCollector, TransactionRecord
 from repro.net.message import Message
 from repro.net.network import Network
@@ -271,29 +270,10 @@ class LiveCluster:
     # Outcome inspection (same contract as the simulated Cluster)
     # ------------------------------------------------------------------
     def durable_outcome(self, node_name: str, txn_id: str) -> Optional[str]:
-        stable = self.nodes[node_name].log.stable
-        if stable.has_record(txn_id, LogRecordType.COMMITTED):
-            return "commit"
-        if stable.has_record(txn_id, LogRecordType.ABORTED):
-            return "abort"
-        if stable.has_record(txn_id, LogRecordType.HEURISTIC_COMMIT):
-            return "heuristic-commit"
-        if stable.has_record(txn_id, LogRecordType.HEURISTIC_ABORT):
-            return "heuristic-abort"
-        return None
+        return self.nodes[node_name].log.durable_outcome(txn_id)
 
     def recorded_outcome(self, node_name: str, txn_id: str) -> Optional[str]:
-        records = self.nodes[node_name].log.records_for(txn_id)
-        types = {r.record_type for r in records}
-        if LogRecordType.COMMITTED in types:
-            return "commit"
-        if LogRecordType.ABORTED in types:
-            return "abort"
-        if LogRecordType.HEURISTIC_COMMIT in types:
-            return "heuristic-commit"
-        if LogRecordType.HEURISTIC_ABORT in types:
-            return "heuristic-abort"
-        return None
+        return self.nodes[node_name].log.recorded_outcome(txn_id)
 
     def fsync_counts(self) -> Dict[str, int]:
         """Per-node real fsync totals (empty entries for in-memory logs)."""

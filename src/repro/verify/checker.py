@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cluster import Cluster
+from repro.hooks import Observer
 from repro.log.records import LogRecord, LogRecordType
 from repro.net.message import Message, MessageType
 
@@ -61,15 +62,11 @@ _OUTCOME_RECORDS = {LogRecordType.COMMITTED, LogRecordType.ABORTED,
                     LogRecordType.HEURISTIC_ABORT}
 
 
-class ProtocolChecker:
+class ProtocolChecker(Observer):
     """Attach to a cluster before running; inspect violations after."""
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
-        self._cluster: Optional[Cluster] = None
-        #: (hook list, installed callable) pairs, so detach() removes
-        #: exactly what attach() added.
-        self._installed: List[tuple] = []
         # (node, txn) -> facts observed so far
         self._forced_prepared: Set[Tuple[str, str]] = set()
         self._logged_committed: Set[Tuple[str, str]] = set()
@@ -82,47 +79,11 @@ class ProtocolChecker:
         self._yes_voted: Set[Tuple[str, str]] = set()
 
     # ------------------------------------------------------------------
-    def attach(self, cluster: Cluster) -> "ProtocolChecker":
-        """Install observation hooks on the cluster.
-
-        Same contract as :class:`~repro.trace.recorder.Tracer`:
-        re-attaching to the same cluster is a no-op (hooks are never
-        installed twice, so no double-counted observations), attaching
-        to a different cluster while still attached is an error —
-        call :meth:`detach` first.
-        """
-        if self._cluster is cluster:
-            return self
-        if self._cluster is not None:
-            raise RuntimeError("ProtocolChecker is already attached to a "
-                               "different cluster; detach() first")
-        self._cluster = cluster
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_send)
+    def _install(self, cluster: Cluster) -> None:
+        self.hook(cluster.network.on_send, self._on_send)
         for node in cluster.nodes.values():
-            install(node.log.on_write, self._on_log)
-            for rm in node.detached_rms.values():
-                if rm.log is not node.log:
-                    install(rm.log.on_write, self._on_log)
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook; keeps violations (idempotent)."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass  # hook list was externally cleared; nothing to do
-        self._installed = []
-        self._cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self._cluster is not None
+            for log in node.logs():
+                self.hook(log.on_write, self._on_log)
 
     # ------------------------------------------------------------------
     # Stream handlers
@@ -212,12 +173,12 @@ class ProtocolChecker:
     def check_atomicity(self, txn_id: str,
                         nodes: Optional[List[str]] = None) -> None:
         """R6: durable outcomes of all participants agree."""
-        if self._cluster is None:
+        if self.cluster is None:
             raise RuntimeError("checker is not attached")
-        names = nodes or list(self._cluster.nodes)
+        names = nodes or list(self.cluster.nodes)
         outcomes = {}
         for name in names:
-            recorded = self._cluster.recorded_outcome(name, txn_id)
+            recorded = self.cluster.recorded_outcome(name, txn_id)
             if recorded is not None and not recorded.startswith("heuristic"):
                 outcomes[name] = recorded
         if len(set(outcomes.values())) > 1:
@@ -234,12 +195,12 @@ class ProtocolChecker:
         for that resource manager — silent lock loss is the bug this
         rule exists to catch.
         """
-        if self._cluster is None:
+        if self.cluster is None:
             raise RuntimeError("checker is not attached")
         from repro.core.states import TxnState
         from repro.log.records import LogRecordType
         from repro.lrm.locks import LockMode
-        node = self._cluster.nodes[node_name]
+        node = self.cluster.nodes[node_name]
         for txn_id, context in node.contexts.items():
             if not context.rebuilt_from_log or \
                     context.state is not TxnState.PREPARED:
@@ -266,7 +227,7 @@ class ProtocolChecker:
                                f"{rm_name}/{key}")
 
     def _missing_rm_surfaced(self, node_name: str, rm_name: str) -> bool:
-        metrics = self._cluster.metrics
+        metrics = self.cluster.metrics
         return metrics.recovery_anomaly_count(
             node=node_name, kind="relock-missing-rm", detail=rm_name) > 0
 

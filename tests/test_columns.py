@@ -2,21 +2,13 @@
 
 import pytest
 
-from repro.core.cluster import Cluster
-from repro.core.config import PRESUMED_ABORT
 from repro.metrics.columns import (
-    ColumnarTraceLog,
-    CostTape,
     FloatColumn,
     IntColumn,
     PairColumn,
     StringInterner,
 )
 from repro.metrics.histogram import Histogram
-from repro.obs import CostLedger
-from repro.trace.recorder import TraceEvent, Tracer
-
-from tests.conftest import updating_spec
 
 
 class TestTypedColumns:
@@ -81,65 +73,6 @@ class TestPairColumn:
         window = pairs[4:]
         assert isinstance(window, PairColumn)
         assert window == [("n", 4.0), ("n", 5.0)]
-
-
-class TestColumnarTraceLog:
-    def _run_traced(self, columnar):
-        cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
-        tracer = Tracer(columnar=columnar).attach(cluster)
-        # explicit txn id: the default draws from a process-global
-        # counter, which would differ between the two runs compared
-        spec = updating_spec("c", ["s"])
-        spec.txn_id = "trace-diff"
-        cluster.run_transaction(spec)
-        return tracer
-
-    def test_identical_to_list_backed_tracer(self):
-        plain = self._run_traced(columnar=False)
-        columnar = self._run_traced(columnar=True)
-        assert isinstance(columnar.events, ColumnarTraceLog)
-        assert len(columnar.events) == len(plain.events)
-        assert list(columnar.events) == list(plain.events)
-
-    def test_queries_materialize_events(self):
-        tracer = self._run_traced(columnar=True)
-        event = tracer.events[0]
-        assert isinstance(event, TraceEvent)
-        assert tracer.events[-1] == list(tracer.events)[-1]
-        assert tracer.events[1:3] == list(tracer.events)[1:3]
-        flows = tracer.flows()
-        assert flows and all(e.kind == "flow" for e in flows)
-        assert tracer.transcript()  # renders without error
-
-    def test_out_of_range(self):
-        log = ColumnarTraceLog()
-        log.append(TraceEvent(time=1.0, kind="note", node="n",
-                              text="hello"))
-        assert log[0].text == "hello"
-        with pytest.raises(IndexError):
-            log[1]
-
-
-class TestCostTape:
-    def test_tape_records_cost_timeline(self):
-        cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
-        ledger = CostLedger(tape=True).attach(cluster)
-        spec = updating_spec("c", ["s"])
-        cluster.run_transaction(spec)
-        assert ledger.tape is not None and len(ledger.tape)
-        by_kind = ledger.tape.counts_by_kind()
-        assert by_kind["send"] == sum(
-            entry.commit_flows + entry.data_flows + entry.recovery_flows
-            for entry in ledger.entries.values())
-        rows = ledger.tape.for_txn(spec.txn_id)
-        assert rows
-        times = [time for time, __, __ in rows]
-        assert times == sorted(times)
-        kinds = {kind for __, __, kind in rows}
-        assert "send" in kinds and ("force" in kinds or "write" in kinds)
-
-    def test_tape_off_by_default(self):
-        assert CostLedger().tape is None
 
 
 class TestHistogramTypedCounts:

@@ -803,16 +803,9 @@ def _hook_state(cluster):
         state[f"network.{name}"] = list(getattr(network, name))
     for node_name, node in cluster.nodes.items():
         state[f"{node_name}.on_transition"] = list(node.on_transition)
-        seen = set()
-        for rm in [node] + node.all_rms():
-            log = getattr(rm, "log", None)
-            if log is None or id(log) in seen:
-                continue
-            seen.add(id(log))
-            state[f"{node_name}.log{len(seen)}.on_write"] = \
-                list(log.on_write)
-            state[f"{node_name}.log{len(seen)}.on_flush"] = \
-                list(log.on_flush)
+        for index, log in enumerate(node.logs()):
+            state[f"{node_name}.log{index}.on_write"] = list(log.on_write)
+            state[f"{node_name}.log{index}.on_flush"] = list(log.on_flush)
         for index, rm in enumerate(node.all_rms()):
             locks = rm.locks
             state[f"{node_name}.locks{index}.on_grant"] = \
