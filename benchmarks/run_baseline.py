@@ -59,8 +59,10 @@ from benchmarks.bench_obs_overhead import (  # noqa: E402
     FULL_TXNS,
     SMOKE_TXNS,
     measure as measure_obs,
+    measure_alone,
     measure_journal,
     measure_registry,
+    run_whole_cell,
 )
 
 #: Below this live current-vs-seed churn ratio the kernel optimization
@@ -104,6 +106,8 @@ def update_baseline() -> int:
                                                 repeats=3)
     obs_metrics["registry_on"] = measure_registry(n_txns=SMOKE_TXNS,
                                                   repeats=3)
+    obs_metrics["whole_cell"] = measure_alone(
+        lambda: run_whole_cell(SMOKE_TXNS), SMOKE_TXNS, repeats=3)
     obs_payload = {
         "schema": 1,
         "updated": datetime.date.today().isoformat(),
@@ -199,7 +203,7 @@ def check_obs_baseline(tolerance: float) -> int:
 
     failures = 0
     for name in ("tracing_on", "profiler_on", "ledger_on", "chaos_off",
-                 "journal_on", "registry_on"):
+                 "journal_on", "registry_on", "whole_cell"):
         if name not in current:
             continue
         ratio = current[name]["ratio"]
@@ -211,7 +215,7 @@ def check_obs_baseline(tolerance: float) -> int:
             floor = recorded * (1.0 - tolerance)
             line += f" [committed ratio {recorded}, floor {floor:.3f}]"
             if name in ("tracing_on", "ledger_on", "chaos_off",
-                        "journal_on", "registry_on") \
+                        "journal_on", "registry_on", "whole_cell") \
                     and ratio < floor:
                 line += "  <-- REGRESSION"
                 failures += 1

@@ -49,7 +49,6 @@ from repro.errors import (
     DeadlockError,
     ProtocolError,
     ReproError,
-    TransactionAborted,
 )
 from repro.log.group_commit import GroupCommitPolicy
 from repro.lrm.operations import Operation, read_op, write_op
@@ -91,7 +90,6 @@ __all__ = [
     "Role",
     "SatelliteLink",
     "TMNode",
-    "TransactionAborted",
     "TransactionHandle",
     "TransactionSpec",
     "TxnState",

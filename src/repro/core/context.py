@@ -120,6 +120,8 @@ class CommitContext:
         self.heuristic_damaged: Optional[bool] = None
         self.heuristic_event = None  # metrics HeuristicEvent, if any
         self.retry_timer: Optional[Timer] = None
+        #: ``work_timeout``'s timer while the work is outstanding.
+        self.work_timer: Optional[Timer] = None
         self.recovery_attempts = 0
         self.recovering = False
         #: Acks upstream must use the recovery path (post-failure).
@@ -200,11 +202,13 @@ class CommitContext:
                                for info in children.values())
 
     def cancel_timers(self) -> None:
-        for timer in (self.heuristic_timer, self.retry_timer):
+        for timer in (self.heuristic_timer, self.retry_timer,
+                      self.work_timer):
             if timer is not None:
                 timer.cancel()
         self.heuristic_timer = None
         self.retry_timer = None
+        self.work_timer = None
 
     def __repr__(self) -> str:
         return (f"<CommitContext {self.txn_id}@{self.node} "

@@ -372,7 +372,7 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
                                      handle=handle)
         if self.config.work_timeout is not None and \
                 context.state is TxnState.ACTIVE:
-            self.simulator.timer(
+            context.work_timer = self.simulator.timer(
                 self.config.work_timeout,
                 lambda: self._work_timeout(context),
                 name=f"work-timeout:{spec.txn_id}")
@@ -415,7 +415,7 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             # A participant may abort unilaterally any time before it
             # votes YES; if the coordinator dies before commit begins,
             # this is what frees the locks.
-            self.simulator.timer(
+            context.work_timer = self.simulator.timer(
                 self.config.work_timeout,
                 lambda: self._abandoned_timeout(context),
                 name=f"txn-timeout:{spec.txn_id}@{self.name}")

@@ -26,14 +26,5 @@ class DeadlockError(ReproError):
         self.cycle = cycle
 
 
-class TransactionAborted(ReproError):
-    """Raised to application code when its transaction was aborted."""
-
-    def __init__(self, txn_id: str, reason: str) -> None:
-        super().__init__(f"transaction {txn_id} aborted: {reason}")
-        self.txn_id = txn_id
-        self.reason = reason
-
-
 class LockError(ReproError):
     """Lock-manager misuse (releasing a lock that is not held, etc.)."""

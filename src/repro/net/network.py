@@ -18,12 +18,25 @@ the historical one, so existing runs stay bit-identical.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
+
+
+class DeliveryName(NamedTuple):
+    """A delivery event's name, ``deliver:<message.describe()>``, made
+    only when read (kernel-events journal, profiler, error message)."""
+
+    message: Message
+
+    def __str__(self) -> str:
+        return f"deliver:{self.message.describe()}"
+
+    def __repr__(self) -> str:
+        return repr(str(self))
 
 
 class NetworkError(RuntimeError):
@@ -185,7 +198,7 @@ class Network:
                 arrival = max(arrival, self._last_delivery.get(link, 0.0))
                 self._last_delivery[link] = arrival
             self.simulator.at(arrival, lambda: self._deliver(message),
-                              name=f"deliver:{message.describe()}")
+                              name=DeliveryName(message))
         else:
             # An adversary rewrote this delivery: each plan is one
             # scheduled arrival.  FIFO-respecting plans take (and
@@ -200,7 +213,7 @@ class Network:
                     self._last_delivery[link] = arrival
                 self.simulator.at(arrival,
                                   lambda m=message: self._deliver(m),
-                                  name=f"deliver:{message.describe()}")
+                                  name=DeliveryName(message))
 
     def _deliver(self, message: Message) -> None:
         # Re-check the partition at delivery time: a partition that forms

@@ -3,7 +3,8 @@
 Strictly a consumer of hooks exposed by the lower layers (``core``,
 ``log``, ``lrm``, ``net``, ``sim``) — nothing below imports this
 package, and a cluster with no instrument attached does zero
-observability work.
+observability work.  The per-event observers share one tap per
+cluster, the journal's rows, and fold them.
 
 * :class:`SpanTracer` — per-transaction span trees from protocol
   state transitions, log forces and message deliveries; exportable as
@@ -27,7 +28,7 @@ observability work.
   happens-before DAG, :func:`diff_journals` localizes the first
   causally-divergent event between two journals, and
   :class:`Watchdog` runs in-doubt/lock-wait/orphan/unacked-force
-  detectors over a journal or live hooks.
+  detectors over a journal or a live cluster's rows.
 """
 
 from repro.obs.audit import (AuditFinding, ConformanceAuditor,

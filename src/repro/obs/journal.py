@@ -38,10 +38,15 @@ the protocol* two runs forked.
 
 Storage is :class:`JournalRows`, one fixed-width packed row per entry
 (an entry has at most two parents: its site predecessor and one cross
-edge); the JSONL renderer and the watchdog read the rows directly, and
-:class:`JournalEntry` objects are built only on request.
+edge); :class:`JournalEntry` objects are built only on request.
 Serialisation is schema-versioned JSONL: a header line naming
 :data:`SCHEMA`, then one entry per line.
+
+The rows are also the cluster's one per-event tap.  A
+:class:`JournalTap` owns the hooks and writes the rows; everything that
+watches a run per event — this recorder, the cost ledger, the metrics
+registry, the span tracer, the watchdog — is a :class:`Fold` over them
+(see docs/OBSERVABILITY.md, "One tap, many folds").
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import json
 import struct
 from collections import deque
 from functools import partial
+from itertools import chain
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -59,7 +65,7 @@ from repro.hooks import Observer
 SCHEMA = "repro-journal/1"
 
 #: Phase stamped on entries hitting a (txn, node) pair before any
-#: commit context exists there (mirrors repro.obs.ledger.IDLE_PHASE).
+#: commit context exists there (e.g. the enrollment data flows).
 IDLE_PHASE = "idle"
 
 #: (txn, node) protocol states that count as settled for orphan
@@ -93,12 +99,29 @@ KINDS = ("transition", "send", "deliver", "write", "harden", "wait",
 
 #: One entry: ``t``; kind, node, txn, phase, ref and peer string ids
 #: (-1 = None); ``lsn`` (-1 = None); ``forced`` (-1 None, 0, 1); two
-#: parent eids (-1 = empty slot, filled first slot first).
-ROW = struct.Struct("<d6iqbqq")
+#: parent eids (-1 = empty slot, filled first slot first); ``aux``, the
+#: facts folds need that the JSONL never prints (the ``AUX_`` bits).
+ROW = struct.Struct("<d6iqbqqB")
 
-#: A rendered entry: ``journal_to_jsonl``'s sorted-key compact line.
+#: ``aux`` bits: the clock gave ``t`` as an int (rows store doubles);
+#: the cross edge (a delivery's send, a harden's write, a grant's wait,
+#: a release's grant) is ``p0``, not ``p1``; a creation transition of a
+#: context with no parent.  ``aux >> 3``: a send's counting bucket
+#: (``Message.phase``).
+AUX_INT_CLOCK, AUX_CROSS_FIRST, AUX_ROOT = 1, 2, 4
+BUCKETS = ("commit", "data", "recovery")
+_BUCKET_BITS = {name: index << 3 for index, name in enumerate(BUCKETS)}
+
+#: Rows a fold may trail its tap by: every ``FOLD_BATCH`` rows the tap
+#: folds every member, so a fold that nobody reads still pays as it
+#: goes and holds at most one batch of unread rows.
+FOLD_BATCH = 2048
+
+#: A rendered entry: ``journal_to_jsonl``'s sorted-key compact line
+#: (``t`` as its repr), and ``forced`` -1/0/1 as JSON.
 _LINE = ('{"eid":%d,"forced":%s,"kind":%s,"lsn":%s,"node":%s,'
-         '"parents":[%s],"peer":%s,"phase":%s,"ref":%s,"t":%r,"txn":%s}')
+         '"parents":[%s],"peer":%s,"phase":%s,"ref":%s,"t":%s,"txn":%s}')
+_FORCED = ("false", "true", "null")
 
 
 def _header(meta: Optional[Dict[str, object]]) -> str:
@@ -213,9 +236,12 @@ class JournalRows:
     """The journal store: one packed :data:`ROW` per entry.
 
     ``buf`` holds the rows back to back (an entry's eid is its row
-    number); ``ids`` interns strings and ``ids.strings`` maps an id
-    back.  Times are stored as doubles, so an integer clock reading
-    (``Simulator.at(5)``) is journalled as ``5.0``.
+    number) and ``pending`` the newest ones still as unpacked tuples,
+    which :meth:`pack` moves into ``buf`` (the tap packs a batch at a
+    time, after its folds have read it); ``ids`` interns strings and
+    ``ids.strings`` maps an id back.  Times are stored as doubles, so
+    an integer clock reading (``Simulator.at(5)``) is journalled as
+    ``5.0`` (``aux`` keeps that it was an int).
 
     With a ``segment`` path the store can :meth:`spill`: rows below a
     cut move, still packed, to that append-only file and leave memory,
@@ -224,10 +250,11 @@ class JournalRows:
     :meth:`render`) reads segment + tail as one journal.
     """
 
-    __slots__ = ("buf", "ids", "base", "segment")
+    __slots__ = ("buf", "pending", "ids", "base", "segment")
 
     def __init__(self, segment: Optional[str] = None) -> None:
         self.buf = bytearray()
+        self.pending: List[Tuple] = []
         self.ids = _Ids()
         for kind in KINDS:
             self.ids[kind]      # interned first: a kind's id is its index
@@ -238,23 +265,43 @@ class JournalRows:
             open(segment, "wb").close()     # a new journal starts empty
 
     def __len__(self) -> int:
-        return self.base + len(self.buf) // ROW.size
+        return self.base + len(self.buf) // ROW.size + len(self.pending)
+
+    def pack(self) -> None:
+        """Move the ``pending`` rows into ``buf``."""
+        if self.pending:
+            self.buf += b"".join([ROW.pack(*row) for row in self.pending])
+            self.pending.clear()
 
     def spill(self, upto: int) -> None:
         """Move rows below ``upto`` to the segment (no-op without one)."""
         if self.segment is None or upto <= self.base:
             return
+        self.pack()
         cut = (upto - self.base) * ROW.size
         with open(self.segment, "ab") as handle, \
                 memoryview(self.buf) as view:
             handle.write(view[:cut])
-        del self.buf[:cut]
+        self.drop(upto)
+
+    def drop(self, upto: int) -> None:
+        """Forget the in-memory rows below ``upto``."""
+        packed = self.base + len(self.buf) // ROW.size
+        del self.buf[:(min(upto, packed) - self.base) * ROW.size]
+        del self.pending[:max(upto - packed, 0)]
         self.base = upto
 
-    def _packed(self, start: int = 0, stop: Optional[int] = None
-               ) -> Union[bytes, bytearray]:
-        """Rows ``start:stop`` as packed bytes, from segment and tail."""
-        stop = len(self) if stop is None else min(stop, len(self))
+    def copy(self) -> "JournalRows":
+        """A copy that stops here (it shares the string ids, and reads
+        rows spilled so far from the same segment)."""
+        self.pack()
+        twin = JournalRows()
+        twin.buf, twin.ids = bytearray(self.buf), self.ids
+        twin.base, twin.segment = self.base, self.segment
+        return twin
+
+    def _packed(self, start: int, stop: int) -> Union[bytes, bytearray]:
+        """Packed rows ``start:stop``, from segment and ``buf``."""
         if start >= stop:
             return b""
         data = b""
@@ -269,9 +316,15 @@ class JournalRows:
 
     def rows(self, start: int = 0, stop: Optional[int] = None
              ) -> Iterable[Tuple]:
-        """Unpacked rows ``start:stop`` (unpacked from a copy, so
-        appending meanwhile is safe)."""
-        return ROW.iter_unpack(self._packed(start, stop))
+        """Unpacked rows ``start:stop`` (read from copies, so appending
+        meanwhile is safe)."""
+        stop = len(self) if stop is None else min(stop, len(self))
+        packed = self.base + len(self.buf) // ROW.size
+        fresh = self.pending[max(start - packed, 0):max(stop - packed, 0)]
+        if start >= packed:
+            return fresh
+        return chain(ROW.iter_unpack(self._packed(start, min(stop, packed))),
+                     fresh)
 
     def entries(self, start: int = 0, stop: Optional[int] = None
                 ) -> List[JournalEntry]:
@@ -282,7 +335,7 @@ class JournalRows:
             None if forced < 0 else forced == 1,
             () if p0 < 0 else (p0,) if p1 < 0 else (p0, p1))
             for eid, (t, kind, node, txn, phase, ref, peer, lsn, forced,
-                      p0, p1) in enumerate(self.rows(start, stop), start)]
+                      p0, p1, _) in enumerate(self.rows(start, stop), start)]
 
     def extend(self, entries: Iterable[JournalEntry],
                row_of: Dict[int, int]) -> None:
@@ -293,6 +346,7 @@ class JournalRows:
         that is not in it (cut out of the journal) is dropped.
         """
         ids = self.ids
+        self.pack()
         for entry in entries:
             parents = [row_of[p] for p in entry.parents if p in row_of]
             if len(parents) > 2:
@@ -305,10 +359,10 @@ class JournalRows:
                 ids[entry.phase], ids[entry.ref], ids[entry.peer],
                 -1 if entry.lsn is None else entry.lsn,
                 -1 if entry.forced is None else entry.forced,
-                parents[0], parents[1])
+                parents[0], parents[1], 0)
 
     def render(self, meta: Optional[Dict[str, object]] = None,
-               chunk: int = 4096) -> Iterator[str]:
+               chunk: int = 1024) -> Iterator[str]:
         """:meth:`to_jsonl` in pieces of at most ``chunk`` entries, for
         writing a journal out without holding all of its text."""
         encoded = self._encoded()
@@ -329,19 +383,19 @@ class JournalRows:
 
     def _lines(self, encoded: List[str], start: int, stop: int
                ) -> List[str]:
-        return [_LINE % (
-            eid, ("false", "true", "null")[forced], encoded[kind],
-            "null" if lsn < 0 else lsn, encoded[node],
-            "" if p0 < 0 else p0 if p1 < 0 else f"{p0},{p1}",
-            encoded[peer], encoded[phase], encoded[ref], t, encoded[txn])
-            for eid, (t, kind, node, txn, phase, ref, peer, lsn, forced,
-                      p0, p1) in enumerate(self.rows(start, stop), start)]
-
-
-def _node_of(site: str) -> str:
-    """The node a journal site belongs to (detached own-log RMs
-    journal under ``node/rm``; protocol state lives at the node)."""
-    return site.split("/", 1)[0] if "/" in site else site
+        lines = []
+        last = when = None
+        for eid, (t, kind, node, txn, phase, ref, peer, lsn, forced, p0,
+                  p1, _) in enumerate(self.rows(start, stop), start):
+            if t != last:               # rows run in time order
+                last, when = t, repr(t)
+            lines.append(_LINE % (
+                eid, _FORCED[forced], encoded[kind],
+                "null" if lsn < 0 else lsn, encoded[node],
+                "" if p0 < 0 else p0 if p1 < 0 else f"{p0},{p1}",
+                encoded[peer], encoded[phase], encoded[ref], when,
+                encoded[txn]))
+        return lines
 
 
 def _mode_name(mode) -> str:
@@ -351,21 +405,65 @@ def _mode_name(mode) -> str:
     return str(mode) if name is None else name
 
 
-class JournalRecorder(Observer):
-    """Records a cluster run as a causally-linked journal.
+class Fold(Observer):
+    """Base of the observers that read a cluster's rows, not its hooks.
 
-    ``kernel_events`` additionally journals every simulator event
-    dispatch (huge — debugging only; every event name is interned).
-    ``segment`` names the file :meth:`JournalRows.spill` moves old rows
-    to (``serve`` spills what its watchdog has folded); without one the
-    whole journal stays in memory.
+    Attaching joins the cluster's :class:`JournalTap`; the fold keeps a
+    row ``cursor``, and :meth:`sync` folds the rows written since
+    (``_fold(rows, start)``).  Syncs happen at each read method, every
+    :data:`FOLD_BATCH` rows the tap writes, and at ``detach``.  A fold
+    keeps its own state from the rows it reads: it never reads a row's
+    ``phase``, which turns idle once the tap forgets the pair.
     """
 
-    def __init__(self, kernel_events: bool = False,
-                 segment: Optional[str] = None) -> None:
-        self.kernel_events = kernel_events
-        #: The journal itself.
-        self.rows = JournalRows(segment)
+    #: The tap while attached, and the first row not folded yet.
+    tap: Optional["JournalTap"] = None
+    cursor = 0
+    #: While a member that keeps rows is attached the tap keeps (or
+    #: spills) them; otherwise it drops what every member has folded.
+    keeps_rows = False
+    #: Notes not folded yet, ``(row position, clock reading, node,
+    #: txn, text)`` each: a list on the folds that take notes.
+    notes: Sequence = ()
+
+    def _install(self, cluster) -> None:
+        tap = JournalTap.of(cluster)
+        if self.keeps_rows and len(tap.rows):
+            tap = JournalTap().attach(cluster)      # its journal starts now
+        tap.join(self)
+
+    def detach(self) -> None:
+        if self.tap is not None:
+            self.tap.leave(self)
+        super().detach()
+
+    def sync(self) -> None:
+        """Fold every row (and note) the tap has written so far."""
+        tap = self.tap
+        if tap is not None:
+            stop = len(tap.rows)
+            if self.cursor < stop or self.notes:
+                self._fold(tap.rows, self.cursor)
+                self.cursor = stop
+
+    def _fold(self, rows: JournalRows, start: int) -> None:
+        """Fold ``rows`` from row ``start`` on (and the ``notes``)."""
+
+
+class JournalTap(Observer):
+    """A cluster's one per-event tap: the hooks, writing one :data:`ROW`
+    per event into :attr:`rows`.  ``JournalTap.of(cluster)`` is the
+    cluster's shared tap, attached with its first :class:`Fold` and
+    detached with its last; a recorder that cannot share it gets a
+    private one (:meth:`adopt`)."""
+
+    def __init__(self) -> None:
+        self.rows = JournalRows()
+        self.members: List[Fold] = []
+        self._due = FOLD_BATCH
+        self._count = 0         # rows written: the next eid
+        #: Parents and phases, for a member that keeps the rows.
+        self._causal = False
         self._clock = None
         # Causal bookkeeping.
         self._last_at_site: Dict[str, int] = {}
@@ -379,15 +477,21 @@ class JournalRecorder(Observer):
         self._waits: Dict[Tuple[str, str, str], int] = {}
         self._grants: Dict[Tuple[str, str, str], int] = {}
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
+    @classmethod
+    def of(cls, cluster) -> "JournalTap":
+        """The cluster's shared tap, attached on first use."""
+        tap = getattr(cluster, "journal_tap", None)
+        if tap is None:
+            tap = cluster.journal_tap = cls().attach(cluster)
+        return tap
+
     def _install(self, cluster) -> None:
         self._clock = cluster.simulator
         self.hook(cluster.network.on_send, self._on_send)
         self.hook(cluster.network.on_deliver, self._on_deliver)
         for node in cluster.nodes.values():
             self.hook(node.on_transition, self._on_transition)
+            self.hook(node.on_note, self._on_note)
             for log in node.logs():
                 self.hook(log.on_write, self._on_write)
                 self.hook(log.on_flush, self._on_flush)
@@ -397,41 +501,105 @@ class JournalRecorder(Observer):
                 self.hook(locks.on_grant, partial(self._on_grant, node.name))
                 self.hook(locks.on_release,
                           partial(self._on_release, node.name))
-        if self.kernel_events:
-            self.event_hook(cluster.simulator, self._on_kernel)
+
+    def join(self, member: Fold) -> None:
+        self.members.append(member)
+        member.tap, member.cursor = self, len(self.rows)
+        if member.keeps_rows:
+            member.rows, self._causal = self.rows, True
+
+    def adopt(self, recorder: "JournalRecorder") -> bool:
+        """Share this tap with ``recorder`` if nothing is written and no
+        other recorder shares it (its journal reads as if recorded alone);
+        it brings its store, segment and (on a private tap) kernel events."""
+        if len(self.rows) or any(isinstance(member, JournalRecorder)
+                                 for member in self.members):
+            return False
+        self.rows, self._count = recorder.rows, len(recorder.rows)
+        for member in self.members:
+            if member.keeps_rows:
+                member.rows = self.rows
+        if recorder.kernel_events:
+            self.event_hook(self.cluster.simulator, self._on_kernel)
+        self.join(recorder)
+        return True
+
+    def leave(self, member: Fold) -> None:
+        member.sync()
+        self.members.remove(member)
+        member.tap = None
+        if not self.members:
+            cluster = self.cluster
+            self.rows.pack()
+            self.detach()
+            if getattr(cluster, "journal_tap", None) is self:
+                cluster.journal_tap = None
+        elif member.keeps_rows:
+            member.rows = self.rows.copy()      # its journal stops here
+            self._causal = any(m.keeps_rows for m in self.members)
+
+    def drain(self) -> None:
+        """Fold every member up to now, then spill the rows if a member
+        keeps them, else drop them."""
+        for member in self.members:
+            member.sync()
+        stop = len(self.rows)
+        if any(member.keeps_rows for member in self.members):
+            self.rows.pack()
+            self.rows.spill(stop)
+        else:
+            self.rows.drop(stop)
+        self._due = stop + FOLD_BATCH
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
     def _emit(self, kind: int, site: str, txn: Optional[str],
-              phase: Optional[str], ref: Optional[str] = None,
-              peer: Optional[str] = None, lsn: int = -1, forced: int = -1,
-              extra_parent: int = -1) -> int:
+              ref: Optional[str] = None, peer: Optional[str] = None,
+              lsn: int = -1, forced: int = -1, extra_parent: int = -1,
+              aux: int = 0) -> int:
+        eid = self._count
+        self._count = eid + 1
         rows = self.rows
-        eid = rows.base + len(rows.buf) // ROW.size
-        parent = self._last_at_site.get(site, -1)
-        if parent < 0:
-            parent, extra_parent = extra_parent, -1
-        elif extra_parent == parent:
-            extra_parent = -1
         ids = rows.ids
-        rows.buf += ROW.pack(self._clock.now, kind, ids[site], ids[txn],
-                             ids[phase], ids[ref], ids[peer], lsn, forced,
-                             parent, extra_parent)
-        self._last_at_site[site] = eid
-        if txn is not None and "/" not in site:
-            # Read for parent edges, which link node sites only.
-            self._last_txn_site[(txn, site)] = eid
+        if self._causal:
+            # Protocol state lives at the node; detached own-log RMs
+            # journal under ``node/rm``.
+            node = site if "/" not in site else site.split("/", 1)[0]
+            key = (txn, node)
+            phase = -1 if kind == KERNEL else \
+                ids[self._states.get(key, IDLE_PHASE)]
+            last = self._last_at_site
+            parent = last.get(site, -1)
+            if parent < 0:
+                parent, extra_parent = extra_parent, -1
+                aux |= AUX_CROSS_FIRST
+            elif extra_parent == parent:
+                extra_parent = -1
+                aux |= AUX_CROSS_FIRST
+            last[site] = eid
+            if txn is not None and node is site:
+                self._last_txn_site[key] = eid  # parent edges link nodes
+        else:       # rows nobody renders: no phase, only the cross edge
+            phase, parent, extra_parent = -1, extra_parent, -1
+            aux |= AUX_CROSS_FIRST
+        now = self._clock.now
+        if now.__class__ is not float:
+            if now.__class__ is int:
+                aux |= AUX_INT_CLOCK
+            now = float(now)
+        rows.pending.append((now, kind, ids[site], ids[txn], phase, ids[ref],
+                             ids[peer], lsn, forced, parent, extra_parent,
+                             aux))
+        if eid >= self._due:
+            self.drain()
         return eid
-
-    def _phase(self, txn: Optional[str], site: str) -> str:
-        return self._states.get((txn, _node_of(site)), IDLE_PHASE)
 
     # ------------------------------------------------------------------
     # Hook bodies
     # ------------------------------------------------------------------
     def _on_transition(self, node: str, txn_id: str, old, new) -> None:
-        extra = -1
+        extra, aux = -1, 0
         if old is None:
             # Context creation: link the parent/child txn edge so the
             # causal DAG shows who enrolled this node.
@@ -439,12 +607,15 @@ class JournalRecorder(Observer):
             parent_node = getattr(context, "parent", None)
             if parent_node is not None:
                 extra = self._last_txn_site.get((txn_id, parent_node), -1)
-        key = (txn_id, node)
-        state = self._states[key] = new._value_
-        self._emit(TRANSITION, node, txn_id, state, ref=state,
-                   peer=old._value_ if old is not None else None,
-                   extra_parent=extra)
-        if state in TERMINAL_STATES:
+            elif context is not None:
+                aux = AUX_ROOT
+        key, state = (txn_id, node), new._value_
+        if self._causal:
+            self._states[key] = state
+        self._emit(TRANSITION, node, txn_id, state,
+                   old._value_ if old is not None else None, -1, -1, extra,
+                   aux)
+        if self._causal and state in TERMINAL_STATES:
             terminal = self._terminal
             terminal.append(key)
             for _ in range(len(terminal) - FORGET_WINDOW):
@@ -457,61 +628,91 @@ class JournalRecorder(Observer):
                     self._last_txn_site.pop(key, None)
 
     def _on_send(self, message) -> None:
-        eid = self._emit(SEND, message.src, message.txn_id,
-                         self._phase(message.txn_id, message.src),
-                         ref=message.msg_type._value_, peer=message.dst)
-        self._sends[message.msg_id] = eid
+        self._sends[message.msg_id] = self._emit(
+            SEND, message.src, message.txn_id, message.msg_type._value_,
+            message.dst, -1, -1, -1, _BUCKET_BITS[message.phase._value_])
 
     def _on_deliver(self, message) -> None:
         self._emit(DELIVER, message.dst, message.txn_id,
-                   self._phase(message.txn_id, message.dst),
-                   ref=message.msg_type._value_, peer=message.src,
-                   extra_parent=self._sends.pop(message.msg_id, -1))
+                   message.msg_type._value_, message.src, -1, -1,
+                   self._sends.pop(message.msg_id, -1))
 
+    # The maps below give rows their cross edges and the forget window
+    # its hardening check; rows nobody renders need neither.
     def _on_write(self, record) -> None:
-        site = record.node
-        eid = self._emit(WRITE, site, record.txn_id,
-                         self._phase(record.txn_id, site),
-                         ref=record.record_type._value_, lsn=record.lsn,
-                         forced=record.forced)
-        self._writes[(site, record.lsn)] = eid
-        key = (record.txn_id, _node_of(site))
-        self._unhardened[key] = self._unhardened.get(key, 0) + 1
+        site, txn, lsn = record.node, record.txn_id, record.lsn
+        eid = self._emit(WRITE, site, txn, record.record_type._value_,
+                         None, lsn, record.forced)
+        if self._causal:
+            self._writes[(site, lsn)] = eid
+            key = (txn, site.split("/", 1)[0] if "/" in site else site)
+            self._unhardened[key] = self._unhardened.get(key, 0) + 1
 
     def _on_flush(self, durable) -> None:
         unhardened = self._unhardened
         for record in durable:
-            site = record.node
-            self._emit(HARDEN, site, record.txn_id,
-                       self._phase(record.txn_id, site),
-                       ref=record.record_type._value_, lsn=record.lsn,
-                       extra_parent=self._writes.pop((site, record.lsn),
-                                                     -1))
-            key = (record.txn_id, _node_of(site))
-            left = unhardened.pop(key, 1) - 1
-            if left:
-                unhardened[key] = left
+            site, txn, lsn = record.node, record.txn_id, record.lsn
+            self._emit(HARDEN, site, txn, record.record_type._value_, None,
+                       lsn, -1, self._writes.pop((site, lsn), -1))
+            if self._causal:
+                key = (txn, site.split("/", 1)[0] if "/" in site else site)
+                left = unhardened.pop(key, 1) - 1
+                if left:
+                    unhardened[key] = left
 
     def _on_wait(self, node: str, txn_id: str, key: str, mode) -> None:
-        eid = self._emit(WAIT, node, txn_id, self._phase(txn_id, node),
-                         ref=key, peer=_mode_name(mode))
-        self._waits[(node, txn_id, key)] = eid
+        eid = self._emit(WAIT, node, txn_id, key, _mode_name(mode))
+        if self._causal:
+            self._waits[(node, txn_id, key)] = eid
 
     def _on_grant(self, node: str, txn_id: str, key: str, mode) -> None:
-        eid = self._emit(GRANT, node, txn_id, self._phase(txn_id, node),
-                         ref=key, peer=_mode_name(mode),
-                         extra_parent=self._waits.pop((node, txn_id, key),
-                                                      -1))
-        self._grants[(node, txn_id, key)] = eid
+        lock = (node, txn_id, key)
+        eid = self._emit(GRANT, node, txn_id, key, _mode_name(mode), -1, -1,
+                         self._waits.pop(lock, -1))
+        if self._causal:
+            self._grants[lock] = eid
 
     def _on_release(self, node: str, txn_id: str, key: str) -> None:
-        self._emit(RELEASE, node, txn_id, self._phase(txn_id, node),
-                   ref=key,
-                   extra_parent=self._grants.pop((node, txn_id, key), -1))
+        self._emit(RELEASE, node, txn_id, key, None, -1, -1,
+                   self._grants.pop((node, txn_id, key), -1))
+
+    def _on_note(self, node: str, txn_id: str, text: str) -> None:
+        for member in self.members:
+            if isinstance(member.notes, list):
+                member.notes.append(
+                    (len(self.rows), self._clock.now, node, txn_id, text))
 
     def _on_kernel(self, event) -> None:
-        self._emit(KERNEL, "kernel", None, None,
-                   ref=getattr(event, "name", "") or "event")
+        self._emit(KERNEL, "kernel", None,
+                   str(getattr(event, "name", "") or "event"))
+
+
+class JournalRecorder(Fold):
+    """Records a cluster run as a causally-linked journal: the rows of
+    the cluster's tap, kept (a recorder attached once rows are written,
+    or one with kernel events, records through a private tap, as if
+    alone).
+
+    ``kernel_events`` additionally journals every simulator event
+    dispatch (huge — debugging only; every event name is interned).
+    ``segment`` names the file :meth:`JournalRows.spill` moves folded
+    rows to (``serve`` uses one); without one the journal stays in
+    memory.
+    """
+
+    keeps_rows = True
+
+    def __init__(self, kernel_events: bool = False,
+                 segment: Optional[str] = None) -> None:
+        self.kernel_events = kernel_events
+        #: The journal itself.
+        self.rows = JournalRows(segment)
+
+    def _install(self, cluster) -> None:
+        tap = (None if len(self.rows) or self.kernel_events
+               else JournalTap.of(cluster))
+        if tap is None or not tap.adopt(self):
+            JournalTap().attach(cluster).adopt(self)
 
     # ------------------------------------------------------------------
     # Queries / export

@@ -1,47 +1,46 @@
-"""CostLedger: per-transaction cost attribution from substrate hooks.
+"""CostLedger: per-transaction cost attribution, a fold over the tap.
 
 The paper's evaluation is cost accounting — Tables 2-4 count message
 flows, log writes and forced writes per protocol/optimization, and
 "resource lock time" is its fourth axis.  The aggregate counters in
 :mod:`repro.metrics.collector` already total those quantities; the
 ledger attributes each individual cost event to **(transaction, node,
-phase, record/message type)** as it happens, so one transaction's
-triple can be read out (and audited against the analytic formulas)
-the moment it completes.
+phase, record/message type)**, so one transaction's triple can be read
+out (and audited against the analytic formulas) the moment it
+completes.
 
-Hook diet (all list-append installs — an unattached cluster pays one
-falsy check per event, the established skip-when-empty pattern):
+The ledger installs no hooks: it is a :class:`~repro.obs.journal.Fold`
+over the cluster's journal rows, and every read folds up to now.
 
 ====================  ==============================================
-hook                  ledger activity
+row                   ledger activity
 ====================  ==============================================
-node.on_transition    track each (txn, node) protocol phase
-network.on_send       attribute one flow (sender pays, as the tables
-                      count)
-network.on_deliver    close the in-flight window (delivery count)
-log.on_write          attribute one log write / forced write
-log.on_flush          count hardened records per transaction
-locks.on_grant        open a lock-hold interval
-locks.on_release      close it and accumulate lock time
+transition            track each (txn, node) protocol phase (its own
+                      map, which never forgets)
+send                  attribute one flow (sender pays, as the tables
+                      count) to the row's counting bucket
+write                 attribute one log write / forced write
+grant                 open a lock-hold interval
+release               close it and accumulate lock time
 ====================  ==============================================
+
+A send, delivery, write or grant of a transaction not seen yet opens
+its entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.hooks import Observer
 from repro.metrics.collector import CostSummary
+from repro.obs.journal import (AUX_INT_CLOCK, BUCKETS, GRANT, HARDEN,
+                               IDLE_PHASE, RELEASE, SEND, TRANSITION, WAIT,
+                               WRITE, Fold, JournalRows)
 
 #: Data (WAL) records are pre-commit work; the tables count protocol
 #: records only (same convention as MetricsCollector.DATA_RECORD_TYPES).
 _DATA_RECORD_TYPES = frozenset({"lrm-update"})
-
-#: Phase label for cost events hitting a (txn, node) pair before any
-#: commit-context exists there (e.g. the enrollment data flows).
-IDLE_PHASE = "idle"
 
 
 @dataclass
@@ -80,11 +79,7 @@ class TxnLedger:
     forced_writes: int = 0
     data_flows: int = 0
     recovery_flows: int = 0
-    delivered: int = 0
-    hardened: int = 0
     lock_holds: List[LockHold] = field(default_factory=list)
-    first_event_at: Optional[float] = None
-    last_event_at: Optional[float] = None
 
     def cost_summary(self) -> CostSummary:
         """The paper's (flows, writes, forced) triple for this txn."""
@@ -116,106 +111,73 @@ class TxnLedger:
         }
 
 
-class CostLedger(Observer):
+class CostLedger(Fold):
     """Attributes every cost event of a cluster run to its transaction."""
 
     def __init__(self) -> None:
-        self.entries: Dict[str, TxnLedger] = {}
-        self._states: Dict[Tuple[str, str], str] = {}
-        self._open_holds: Dict[Tuple[str, str, str], LockHold] = {}
+        self._entries: Dict[str, TxnLedger] = {}
+        #: (txn, node) -> its phase, as string ids of the rows' store.
+        self._states: Dict[Tuple[int, int], int] = {}
+        self._names: List[str] = []
+        self._open_holds: Dict[Tuple[int, int, int], LockHold] = {}
 
-    def _install(self, cluster) -> None:
-        self.hook(cluster.network.on_send, self._on_send)
-        self.hook(cluster.network.on_deliver, self._on_deliver)
-        for node in cluster.nodes.values():
-            self.hook(node.on_transition, self._on_transition)
-            for log in node.logs():
-                self.hook(log.on_write, self._on_write)
-                self.hook(log.on_flush, self._on_flush)
-            for rm in node.all_rms():
-                self.hook(rm.locks.on_grant,
-                          partial(self._on_grant, node.name))
-                self.hook(rm.locks.on_release,
-                          partial(self._on_release, node.name))
+    @property
+    def entries(self) -> Dict[str, TxnLedger]:
+        self.sync()
+        return self._entries
 
-    # ------------------------------------------------------------------
-    # Bookkeeping
-    # ------------------------------------------------------------------
-    def entry(self, txn_id: str) -> TxnLedger:
-        ledger = self.entries.get(txn_id)
-        if ledger is None:
-            ledger = TxnLedger(txn_id)
-            self.entries[txn_id] = ledger
-        return ledger
-
-    def _touch(self, ledger: TxnLedger) -> None:
-        now = self._now
-        if ledger.first_event_at is None:
-            ledger.first_event_at = now
-        ledger.last_event_at = now
-
-    def _phase(self, txn_id: str, node: str) -> str:
-        return self._states.get((txn_id, node), IDLE_PHASE)
-
-    # ------------------------------------------------------------------
-    # Hook bodies
-    # ------------------------------------------------------------------
-    def _on_transition(self, node: str, txn_id: str, old, new) -> None:
-        self._states[(txn_id, node)] = new.value
-
-    def _on_send(self, message) -> None:
-        ledger = self.entry(message.txn_id)
-        self._touch(ledger)
-        phase = self._phase(message.txn_id, message.src)
-        key = (message.src, phase, message.msg_type.value)
-        ledger.flows[key] = ledger.flows.get(key, 0) + 1
-        bucket = message.phase.value
-        if bucket == "commit":
-            ledger.commit_flows += 1
-        elif bucket == "data":
-            ledger.data_flows += 1
-        else:
-            ledger.recovery_flows += 1
-
-    def _on_deliver(self, message) -> None:
-        ledger = self.entry(message.txn_id)
-        self._touch(ledger)
-        ledger.delivered += 1
-
-    def _on_write(self, record) -> None:
-        ledger = self.entry(record.txn_id)
-        self._touch(ledger)
-        rtype = record.record_type.value
-        phase = self._phase(record.txn_id, record.node)
-        key = (record.node, phase, rtype, record.forced)
-        ledger.writes[key] = ledger.writes.get(key, 0) + 1
-        if rtype not in _DATA_RECORD_TYPES:
-            ledger.log_writes += 1
-            if record.forced:
-                ledger.forced_writes += 1
-
-    def _on_flush(self, durable) -> None:
-        for record in durable:
-            ledger = self.entries.get(record.txn_id)
-            if ledger is not None:
-                ledger.hardened += 1
-
-    def _on_grant(self, node: str, txn_id: str, key: str, mode) -> None:
-        ledger = self.entry(txn_id)
-        self._touch(ledger)
-        hold = LockHold(node=node, key=key,
-                        mode=getattr(mode, "value", str(mode)),
-                        granted_at=self._now)
-        ledger.lock_holds.append(hold)
-        self._open_holds[(node, txn_id, key)] = hold
-
-    def _on_release(self, node: str, txn_id: str, key: str) -> None:
-        hold = self._open_holds.pop((node, txn_id, key), None)
-        if hold is not None:
-            hold.released_at = self._now
-            ledger = self.entries.get(txn_id)
-            if ledger is not None:
-                self._touch(ledger)
+    def _fold(self, rows: JournalRows, start: int) -> None:
+        names = self._names = rows.ids.strings
+        entries, states = self._entries, self._states
+        holds = self._open_holds
+        last, ledger = None, None
+        for t, kind, node, txn, _, ref, peer, _, forced, _, _, aux \
+                in rows.rows(start):
+            if kind == TRANSITION:
+                states[txn, node] = ref
+                continue
+            if kind == HARDEN or kind == WAIT or kind > RELEASE:
+                continue
+            if aux & AUX_INT_CLOCK:
+                t = int(t)
+            if kind == RELEASE:
+                hold = holds.pop((node, txn, ref), None)
+                if hold is not None:
+                    hold.released_at = t
+                continue
+            if txn != last:
+                last = txn
+                ledger = entries.get(names[txn] if txn >= 0 else None)
+            if ledger is None:
+                name = names[txn] if txn >= 0 else None
+                ledger = entries[name] = TxnLedger(name)
+            if kind == SEND:
+                phase = states.get((txn, node))
+                key = (names[node], IDLE_PHASE if phase is None
+                       else names[phase], names[ref])
+                ledger.flows[key] = ledger.flows.get(key, 0) + 1
+                bucket = BUCKETS[aux >> 3]
+                if bucket == "commit":
+                    ledger.commit_flows += 1
+                elif bucket == "data":
+                    ledger.data_flows += 1
+                else:
+                    ledger.recovery_flows += 1
+            elif kind == WRITE:
+                phase = states.get((txn, node))
+                rtype = names[ref]
+                key = (names[node], IDLE_PHASE if phase is None
+                       else names[phase], rtype, forced == 1)
+                ledger.writes[key] = ledger.writes.get(key, 0) + 1
+                if rtype not in _DATA_RECORD_TYPES:
+                    ledger.log_writes += 1
+                    if forced == 1:
+                        ledger.forced_writes += 1
+            elif kind == GRANT:
+                hold = holds[node, txn, ref] = LockHold(
+                    node=names[node], key=names[ref], mode=names[peer],
+                    granted_at=t)
+                ledger.lock_holds.append(hold)
 
     # ------------------------------------------------------------------
     # Queries
@@ -230,8 +192,9 @@ class CostLedger(Observer):
         conversations that ferry deferred acks) which pay data flows
         but never enter the protocol.
         """
-        with_context = {txn for (txn, __) in self._states}
-        return [txn for txn in self.entries if txn in with_context]
+        entries = self.entries
+        with_context = {self._names[txn] for (txn, __) in self._states}
+        return [txn for txn in entries if txn in with_context]
 
     def cost_summary(self, txn_id: str) -> CostSummary:
         """(flows, writes, forced) for one transaction; zeros if unseen."""

@@ -19,7 +19,7 @@ construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.metrics.histogram import Histogram, geometric_bounds
 from repro.sim.kernel import Simulator
@@ -64,7 +64,7 @@ class KernelProfiler:
     # ------------------------------------------------------------------
     def record(self, event, seconds: float) -> None:
         name = event.name
-        key = name.split(":", 1)[0] if name else "(unnamed)"
+        key = str(name).split(":", 1)[0] if name else "(unnamed)"
         stats = self.by_type.get(key)
         if stats is None:
             stats = self.by_type[key] = EventTypeStats()
@@ -146,11 +146,3 @@ class KernelProfiler:
         return (f"<KernelProfiler events={self.events} "
                 f"types={len(self.by_type)} "
                 f"total={self.total_seconds * 1e3:.1f}ms>")
-
-
-def profiled_simulator(profiler: Optional[KernelProfiler],
-                       simulator: Simulator) -> Simulator:
-    """Attach ``profiler`` (if any) to an existing simulator."""
-    if profiler is not None:
-        simulator.set_profiler(profiler)
-    return simulator

@@ -1,20 +1,22 @@
 """Streaming metrics registry: labeled counters/gauges/histograms fed
-incrementally from the cluster's existing hooks.
+incrementally from the cluster's journal rows.
 
 Everything earlier observability did post-hoc (journal replay, ledger
-finish, report rendering) this registry does *as the run happens*:
-each hook firing is one O(1) update of a pre-resolved time series, so
-the registry is cheap enough to leave attached to a production server
-(``repro-2pc serve`` attaches one unconditionally; the overhead ratio
-is gated in ``BENCH_obs.json`` as ``registry_on``).
+finish, report rendering) this registry does *as the run goes*: it is
+a :class:`~repro.obs.journal.Fold` over the rows of the cluster's
+:class:`~repro.obs.journal.JournalTap`, each row one O(1) update of a
+pre-resolved time series, so the registry is cheap enough to leave
+attached to a production server (``repro-2pc serve`` attaches one
+unconditionally; the overhead ratio is gated in ``BENCH_obs.json`` as
+``registry_on``).  Every read folds up to now.
 
 One registry serves both worlds — the deterministic simulator and the
-live TCP transport — because it consumes only the shared hook surface
-(``node.on_transition``, ``network.on_send``/``on_deliver``,
-``log.on_write``/``on_flush``, lock ``on_wait``/``on_grant``/
-``on_release``, and the :class:`~repro.metrics.collector.
-MetricsCollector`'s completion/heuristic hooks).  The twin gate runs
-one on each side and requires every counter series to match.
+live TCP transport — because it consumes only the shared tap (flows,
+deliveries, transitions, log writes and hardens, lock waits, grants
+and releases) plus three hooks on the
+:class:`~repro.metrics.collector.MetricsCollector` (completions,
+heuristics, recoveries).  The twin gate runs one on each side and
+requires every counter series to match.
 
 :meth:`MetricsRegistry.prometheus_text` renders the standard text
 exposition (HELP/TYPE pairs, escaped labels, cumulative histogram
@@ -26,22 +28,16 @@ prometheus_text` for anything that is still running.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.hooks import Observer
 from repro.metrics.histogram import Histogram, geometric_bounds
+from repro.obs.journal import (AUX_INT_CLOCK, DELIVER, GRANT, HARDEN,
+                               RELEASE, SEND, SETTLED_STATES, TRANSITION,
+                               WAIT, WRITE, Fold)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Transaction states that settle a commit context (mirrors
-#: repro.obs.journal.SETTLED_STATES; duplicated to keep this module's
-#: hot path free of cross-imports).
-_SETTLED = frozenset({
-    "committed", "aborted", "forgotten", "read-only-done",
-    "heuristic-committed", "heuristic-aborted",
-})
 
 _IN_DOUBT = "prepared"
 
@@ -114,27 +110,6 @@ class HistogramSeries:
     @property
     def sum(self) -> float:
         return self.hist.total
-
-
-class _Children(dict):
-    """Values computed once per key, on first use.
-
-    The registry's hooks key child series by the raw values they see
-    (enum members, node names), so a hot event skips the enum
-    ``value`` property and the ``labels`` call; a key is resolved
-    through :meth:`MetricFamily.labels` only the first time, so
-    exposition still lists only the series that saw an event.
-    """
-
-    __slots__ = ("_resolve",)
-
-    def __init__(self, resolve) -> None:
-        super().__init__()
-        self._resolve = resolve
-
-    def __missing__(self, key):
-        value = self[key] = self._resolve(key)
-        return value
 
 
 class MetricFamily:
@@ -221,14 +196,14 @@ class MetricFamily:
         return lines
 
 
-class MetricsRegistry(Observer):
+class MetricsRegistry(Fold):
     """Labeled counters/gauges/histograms with Prometheus exposition.
 
     Use it standalone (``registry.counter(...)`` etc.), or call
-    :meth:`attach` to subscribe the built-in cluster instrumentation to
-    a (simulated or live) cluster's hooks; the accumulated series
-    survive ``detach()`` — the registry is a record of what it saw,
-    not a live view.
+    :meth:`attach` to feed the built-in cluster instrumentation from a
+    (simulated or live) cluster; the accumulated series survive
+    ``detach()`` — the registry is a record of what it saw, not a live
+    view.
     """
 
     def __init__(self, prefix: str = "repro") -> None:
@@ -236,12 +211,6 @@ class MetricsRegistry(Observer):
             raise ValueError(f"invalid metric prefix {prefix!r}")
         self.prefix = prefix
         self._families: Dict[str, MetricFamily] = {}
-        # Cluster-feed bookkeeping (all O(1) per event).
-        self._open: Dict[Tuple[str, str], bool] = {}
-        self._in_doubt_since: Dict[Tuple[str, str], float] = {}
-        self._force_pending: Dict[Tuple[str, int], float] = {}
-        self._wait_since: Dict[Tuple[str, str, str], float] = {}
-        self._grant_since: Dict[Tuple[str, str, str], float] = {}
 
     # ------------------------------------------------------------------
     # Declaring metrics
@@ -277,6 +246,7 @@ class MetricsRegistry(Observer):
                             bounds)
 
     def families(self) -> Dict[str, MetricFamily]:
+        self.sync()
         return dict(self._families)
 
     # ------------------------------------------------------------------
@@ -284,6 +254,7 @@ class MetricsRegistry(Observer):
     # ------------------------------------------------------------------
     def prometheus_text(self) -> str:
         """The full registry in Prometheus text exposition format."""
+        self.sync()
         lines: List[str] = []
         for name in sorted(self._families):
             lines.extend(self._families[name].exposition_lines())
@@ -297,6 +268,7 @@ class MetricsRegistry(Observer):
         this); gauges and histograms carry wall-clock durations and
         may legitimately differ.
         """
+        self.sync()
         out: Dict[str, float] = {}
         for name in sorted(self._families):
             family = self._families[name]
@@ -310,7 +282,7 @@ class MetricsRegistry(Observer):
     # Cluster feed
     # ------------------------------------------------------------------
     def _install(self, cluster) -> None:
-        """Subscribe the built-in instrumentation to ``cluster``.
+        """Feed the built-in instrumentation from ``cluster``.
 
         Works identically for :class:`repro.core.cluster.Cluster` and
         :class:`repro.transport.live.LiveCluster` — both expose the
@@ -374,66 +346,87 @@ class MetricsRegistry(Observer):
             "recovery_seconds", "Restart-recovery duration (WAL scan "
             "through in-doubt resumption), by node.", ("node",))
 
-        simulator = cluster.simulator
+        # The fold's state is keyed by the rows' string ids; ``names``
+        # reads them back when a series is first resolved.
+        names: List[str] = []
+        opened: Dict[Tuple[int, int], bool] = {}
+        in_doubt_since: Dict[Tuple[int, int], float] = {}
+        force_pending: Dict[Tuple[int, int], float] = {}
+        wait_since: Dict[Tuple[int, int, int], float] = {}
+        grant_since: Dict[Tuple[int, int, int], float] = {}
 
-        send_series = _Children(
-            lambda key: sends.labels(key[0].value, key[1]))
-        deliver_series = _Children(
-            lambda key: delivers.labels(key[0].value, key[1]))
-        transition_series = _Children(
-            lambda key: transitions.labels(key[0].value, key[1]))
-        write_series = _Children(
-            lambda key: writes.labels(key[0], key[1].value,
-                                      "true" if key[2] else "false"))
-        open_series = _Children(txns_open.labels)
-        in_doubt_series = _Children(in_doubt.labels)
-        harden_series = _Children(hardens.labels)
-        pending_series = _Children(forces_pending.labels)
-        lock_wait_series = _Children(lock_waits.labels)
-        waiter_series = _Children(lock_waiters.labels)
-        held_series = _Children(locks_held.labels)
-        value_of = _Children(lambda member: member.value)
+        def by_name(family):
+            """The family's series by label ids, each resolved once (so
+            exposition lists only the series that saw an event)."""
+            return lru_cache(maxsize=None)(lambda *key: family.labels(
+                *[names[ident] for ident in key]))
 
-        def on_send(message) -> None:
-            send_series[message.msg_type, message.src].inc()
+        send_series, deliver_series = by_name(sends), by_name(delivers)
+        transition_series = by_name(transitions)
+        write_series = lru_cache(maxsize=None)(
+            lambda node, ref, forced: writes.labels(
+                names[node], names[ref], "true" if forced == 1 else "false"))
+        open_series, in_doubt_series = by_name(txns_open), by_name(in_doubt)
+        harden_series = by_name(hardens)
+        pending_series = by_name(forces_pending)
+        lock_wait_series = by_name(lock_waits)
+        waiter_series, held_series = by_name(lock_waiters), by_name(locks_held)
 
-        def on_deliver(message) -> None:
-            deliver_series[message.msg_type, message.dst].inc()
-
-        def on_transition(node, txn_id, old, new) -> None:
-            transition_series[new, node].inc()
-            key = (txn_id, node)
-            if old is None:
-                self._open[key] = True
-                open_series[node].inc()
-            state = value_of[new]
-            if state == _IN_DOUBT:
-                self._in_doubt_since[key] = simulator.now
-                in_doubt_series[node].inc()
-            elif old is not None and value_of[old] == _IN_DOUBT:
-                since = self._in_doubt_since.pop(key, None)
-                in_doubt_series[node].dec()
-                if since is not None:
-                    residency.labels().observe(simulator.now - since)
-            if state in _SETTLED and self._open.pop(key, False):
-                open_series[node].dec()
-
-        def on_write(record) -> None:
-            write_series[record.node, record.record_type,
-                         record.forced].inc()
-            if record.forced:
-                self._force_pending[(record.node, record.lsn)] = \
-                    simulator.now
-                pending_series[record.node].inc()
-
-        def on_flush(durable) -> None:
-            for record in durable:
-                harden_series[record.node].inc()
-                since = self._force_pending.pop(
-                    (record.node, record.lsn), None)
-                if since is not None:
-                    pending_series[record.node].dec()
-                    force_latency.labels().observe(simulator.now - since)
+        def fold(rows, start: int) -> None:
+            nonlocal names
+            names = rows.ids.strings
+            for t, kind, node, txn, _, ref, peer, lsn, forced, _, _, aux \
+                    in rows.rows(start):
+                if aux & AUX_INT_CLOCK:
+                    t = int(t)
+                if kind == TRANSITION:
+                    transition_series(ref, node).value += 1.0
+                    key = (txn, node)
+                    if peer < 0:
+                        opened[key] = True
+                        open_series(node).value += 1.0
+                    state = names[ref]
+                    if state == _IN_DOUBT:
+                        in_doubt_since[key] = t
+                        in_doubt_series(node).value += 1.0
+                    elif peer >= 0 and names[peer] == _IN_DOUBT:
+                        since = in_doubt_since.pop(key, None)
+                        in_doubt_series(node).value -= 1.0
+                        if since is not None:
+                            residency.labels().observe(t - since)
+                    if state in SETTLED_STATES and opened.pop(key, False):
+                        open_series(node).value -= 1.0
+                elif kind == SEND:
+                    send_series(ref, node).value += 1.0
+                elif kind == DELIVER:
+                    deliver_series(ref, node).value += 1.0
+                elif kind == WRITE:
+                    write_series(node, ref, forced).value += 1.0
+                    if forced == 1:
+                        force_pending[node, lsn] = t
+                        pending_series(node).value += 1.0
+                elif kind == GRANT:
+                    held_series(node).value += 1.0
+                    grant_since[node, txn, ref] = t
+                    since = wait_since.pop((node, txn, ref), None)
+                    if since is not None:
+                        waiter_series(node).value -= 1.0
+                        lock_wait_time.labels().observe(t - since)
+                elif kind == RELEASE:
+                    held_series(node).value -= 1.0
+                    since = grant_since.pop((node, txn, ref), None)
+                    if since is not None:
+                        lock_hold_time.labels().observe(t - since)
+                elif kind == HARDEN:
+                    harden_series(node).value += 1.0
+                    since = force_pending.pop((node, lsn), None)
+                    if since is not None:
+                        pending_series(node).value -= 1.0
+                        force_latency.labels().observe(t - since)
+                elif kind == WAIT:
+                    lock_wait_series(node).value += 1.0
+                    waiter_series(node).value += 1.0
+                    wait_since[node, txn, ref] = t
 
         def on_transaction(record) -> None:
             txns.labels(record.outcome).inc()
@@ -445,36 +438,8 @@ class MetricsRegistry(Observer):
         def on_recovery(record) -> None:
             recovery_seconds.labels(record.node).observe(record.seconds)
 
-        def on_wait(node, txn_id, key, mode) -> None:
-            lock_wait_series[node].inc()
-            waiter_series[node].inc()
-            self._wait_since[(node, txn_id, key)] = simulator.now
-
-        def on_grant(node, txn_id, key, mode) -> None:
-            held_series[node].inc()
-            self._grant_since[(node, txn_id, key)] = simulator.now
-            since = self._wait_since.pop((node, txn_id, key), None)
-            if since is not None:
-                waiter_series[node].dec()
-                lock_wait_time.labels().observe(simulator.now - since)
-
-        def on_release(node, txn_id, key) -> None:
-            held_series[node].dec()
-            since = self._grant_since.pop((node, txn_id, key), None)
-            if since is not None:
-                lock_hold_time.labels().observe(simulator.now - since)
-
-        self.hook(cluster.network.on_send, on_send)
-        self.hook(cluster.network.on_deliver, on_deliver)
+        self._fold = fold
+        super()._install(cluster)
         self.hook(cluster.metrics.on_transaction, on_transaction)
         self.hook(cluster.metrics.on_heuristic, on_heuristic)
         self.hook(cluster.metrics.on_recovery, on_recovery)
-        for node in cluster.nodes.values():
-            self.hook(node.on_transition, on_transition)
-            for log in node.logs():
-                self.hook(log.on_write, on_write)
-                self.hook(log.on_flush, on_flush)
-            for rm in node.all_rms():
-                self.hook(rm.locks.on_wait, partial(on_wait, node.name))
-                self.hook(rm.locks.on_grant, partial(on_grant, node.name))
-                self.hook(rm.locks.on_release, partial(on_release, node.name))

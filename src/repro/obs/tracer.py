@@ -1,22 +1,20 @@
-"""SpanTracer: turns cluster hooks into per-transaction span trees.
+"""SpanTracer: folds the cluster's journal rows into per-transaction
+span trees.
 
-The tracer attaches to a :class:`~repro.core.cluster.Cluster` and
-listens on the observability hooks the substrates expose:
+The tracer installs no hooks: it is a :class:`~repro.obs.journal.Fold`
+over the rows of the cluster's :class:`~repro.obs.journal.JournalTap`,
+and takes the protocol notes the tap hands it:
 
 ====================  ==============================================
-hook                  span activity
+row / note            span activity
 ====================  ==============================================
-node.on_transition    open/close the root txn span and phase spans
-log.on_write          open a log-force span for each forced record
-log.on_flush          close log-force spans as records harden
-network.on_send       open a message-wait span at the sender
-network.on_deliver    close it at the receiver
-node.on_note          attach protocol notes as point events
+transition            open/close the root txn span and phase spans
+write                 open a log-force span for each forced record
+harden                close log-force spans as records harden
+send                  open a message-wait span at the sender
+deliver               close it at the receiver
+note                  attach a protocol note as a point event
 ====================  ==============================================
-
-All hooks are list-append installs, so an unattached cluster pays
-nothing — the hook lists stay empty and the kernel's ``if hooks:``
-fast paths skip them.
 
 The span tree for one committed transaction (Figure 2's Presumed
 Abort flow) looks like::
@@ -42,7 +40,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.states import TxnState
-from repro.hooks import Observer
+from repro.obs.journal import (AUX_CROSS_FIRST, AUX_INT_CLOCK, AUX_ROOT,
+                               DELIVER, HARDEN, SEND, TRANSITION, WRITE,
+                               Fold, JournalRows)
 from repro.obs.span import (KIND_LOG, KIND_MESSAGE, KIND_PHASE, KIND_TXN,
                             Span)
 
@@ -60,124 +60,113 @@ PHASE_OF_STATE: Dict[TxnState, str] = {
 
 #: Root-node states at which the transaction span ends (the commit
 #: protocol is over from the application's point of view).
-ROOT_FINAL_STATES = frozenset({
-    TxnState.FORGOTTEN,
-    TxnState.READ_ONLY_DONE,
-})
+ROOT_FINAL_STATES = frozenset({TxnState.FORGOTTEN, TxnState.READ_ONLY_DONE})
+
+# The same by the rows' state names; states that give a root its outcome.
+_PHASE_OF = {state.value: name for state, name in PHASE_OF_STATE.items()}
+_ROOT_FINAL = frozenset(state.value for state in ROOT_FINAL_STATES)
+_OUTCOMES = frozenset({"committed", "aborted", "heuristic-committed",
+                       "heuristic-aborted"})
 
 
-class SpanTracer(Observer):
+class SpanTracer(Fold):
     """Collects spans from one cluster.  Attach, run, export."""
 
     def __init__(self) -> None:
-        self.spans: List[Span] = []
-        self._next_id = 1
+        self._spans: List[Span] = []
+        self.notes: List[tuple] = []
         self._roots: Dict[str, Span] = {}                # txn -> root span
         self._phases: Dict[Tuple[str, str], Span] = {}   # (txn, node) -> span
-        self._forces: Dict[Tuple[int, int], Span] = {}   # (log id, lsn)
-        self._messages: Dict[int, Span] = {}             # msg_id -> span
+        self._forces: Dict[Tuple[int, int], Span] = {}   # (log, lsn) ids
+        self._messages: Dict[int, Span] = {}             # send eid -> span
 
-    def _install(self, cluster) -> None:
-        self.hook(cluster.network.on_send, self._on_send)
-        self.hook(cluster.network.on_deliver, self._on_deliver)
-        for node in cluster.nodes.values():
-            self.hook(node.on_transition, self._on_transition)
-            self.hook(node.on_note, self._on_note)
-            for log in node.logs():
-                self.hook(log.on_write, self._on_write)
-                self.hook(log.on_flush, self._on_flush)
+    @property
+    def spans(self) -> List[Span]:
+        self.sync()
+        return self._spans
 
-    # ------------------------------------------------------------------
-    # Span bookkeeping
-    # ------------------------------------------------------------------
-    def _open(self, name: str, kind: str, node: str, txn_id: str,
+    def _fold(self, rows: JournalRows, start: int) -> None:
+        names, messages = rows.ids.strings, self._messages
+        forces = self._forces
+        notes, next_note = self.notes, 0
+        due = notes[0][0] if notes else len(rows)
+        for eid, (t, kind, node, txn, _, ref, peer, lsn, forced, p0, p1,
+                  aux) in enumerate(rows.rows(start), start):
+            while eid >= due:                 # notes fired before this row
+                self._note(*notes[next_note])
+                next_note += 1
+                due = notes[next_note][0] if next_note < len(notes) \
+                    else len(rows)
+            if aux & AUX_INT_CLOCK:
+                t = int(t)
+            if kind == TRANSITION:
+                self._transition(t, names[node], names[txn], names[ref],
+                                 peer < 0 and aux & AUX_ROOT)
+            elif kind == SEND:
+                node, txn = names[node], names[txn]
+                span = self._open(t, "msg:" + names[ref], KIND_MESSAGE,
+                                  node, txn, self._under(txn, node))
+                span.attributes["dst"] = names[peer]
+                messages[eid] = span
+            elif kind == DELIVER:
+                span = messages.pop(p0 if aux & AUX_CROSS_FIRST else p1, None)
+                if span is not None:
+                    span.close(t)
+            elif kind == WRITE and forced == 1:
+                site, txn = names[node], names[txn]
+                span = self._open(t, "log-force:" + names[ref], KIND_LOG,
+                                  site, txn, self._under(txn, site))
+                span.attributes["lsn"] = lsn
+                forces[node, lsn] = span
+            elif kind == HARDEN:
+                span = forces.pop((node, lsn), None)
+                if span is not None:
+                    span.close(t)
+        for note in notes[next_note:]:
+            self._note(*note)
+        notes.clear()
+
+    def _under(self, txn_id: str, node: str) -> Optional[Span]:
+        """The open phase on this node, else the txn root span."""
+        return self._phases.get((txn_id, node)) or self._roots.get(txn_id)
+
+    def _open(self, start, name: str, kind: str, node: str, txn_id: str,
               parent: Optional[Span]) -> Span:
-        span = Span(span_id=self._next_id, name=name, kind=kind, node=node,
-                    txn_id=txn_id, start=self._now,
-                    parent_id=parent.span_id if parent else None)
-        self._next_id += 1
-        self.spans.append(span)
+        span = Span(len(self._spans) + 1, name, kind, node, txn_id, start,
+                    parent.span_id if parent else None)
+        self._spans.append(span)
         return span
 
-    def _parent_for(self, txn_id: str, node: str) -> Optional[Span]:
-        """The open phase on this node, else the txn root span."""
-        phase = self._phases.get((txn_id, node))
-        if phase is not None:
-            return phase
-        return self._roots.get(txn_id)
-
-    # ------------------------------------------------------------------
-    # Hook bodies
-    # ------------------------------------------------------------------
-    def _on_transition(self, node: str, txn_id: str,
-                       old: Optional[TxnState], new: TxnState) -> None:
-        now = self._now
-        context = self.cluster.nodes[node].ctx(txn_id)
+    def _transition(self, now, node: str, txn_id: str, state: str,
+                    creates_root: bool) -> None:
         # Root txn span: opened when the commit coordinator first
         # creates the context.  Restart recovery also rebuilds parentless
         # contexts, so only the first one becomes the root.
-        if old is None and context is not None and context.parent is None \
-                and txn_id not in self._roots:
-            root = self._open(f"txn {txn_id}", KIND_TXN, node, txn_id,
-                              parent=None)
+        roots = self._roots
+        if creates_root and txn_id not in roots:
+            root = roots[txn_id] = self._open(now, f"txn {txn_id}",
+                                              KIND_TXN, node, txn_id, None)
             root.attributes["coordinator"] = node
-            self._roots[txn_id] = root
-
         phase = self._phases.pop((txn_id, node), None)
         if phase is not None:
             phase.close(now)
-
-        name = PHASE_OF_STATE.get(new)
+        name = _PHASE_OF.get(state)
+        root = roots.get(txn_id)
         if name is not None:
-            span = self._open(name, KIND_PHASE, node, txn_id,
-                              parent=self._roots.get(txn_id))
-            span.attributes["state"] = new.value
-            self._phases[(txn_id, node)] = span
-
-        root = self._roots.get(txn_id)
-        if root is not None and not root.finished:
-            if new in (TxnState.COMMITTED, TxnState.ABORTED,
-                       TxnState.HEURISTIC_COMMITTED,
-                       TxnState.HEURISTIC_ABORTED) \
-                    and node == root.node:
-                root.attributes.setdefault("outcome", new.value)
-            if new in ROOT_FINAL_STATES and node == root.node:
+            span = self._phases[(txn_id, node)] = self._open(
+                now, name, KIND_PHASE, node, txn_id, root)
+            span.attributes["state"] = state
+        if root is not None and not root.finished and node == root.node:
+            if state in _OUTCOMES:
+                root.attributes.setdefault("outcome", state)
+            if state in _ROOT_FINAL:
                 root.close(now)
 
-    def _on_write(self, record) -> None:
-        if not record.forced:
-            return
-        span = self._open(f"log-force:{record.record_type.value}",
-                          KIND_LOG, record.node, record.txn_id,
-                          parent=self._parent_for(record.txn_id,
-                                                  record.node))
-        span.attributes["lsn"] = record.lsn
-        self._forces[(id_of_log(record), record.lsn)] = span
-
-    def _on_flush(self, durable) -> None:
-        now = self._now
-        for record in durable:
-            span = self._forces.pop((id_of_log(record), record.lsn), None)
-            if span is not None:
-                span.close(now)
-
-    def _on_send(self, message) -> None:
-        span = self._open(f"msg:{message.msg_type.value}", KIND_MESSAGE,
-                          message.src, message.txn_id,
-                          parent=self._parent_for(message.txn_id,
-                                                  message.src))
-        span.attributes["dst"] = message.dst
-        self._messages[message.msg_id] = span
-
-    def _on_deliver(self, message) -> None:
-        span = self._messages.pop(message.msg_id, None)
-        if span is not None:
-            span.close(self._now)
-
-    def _on_note(self, node: str, txn_id: str, text: str) -> None:
-        target = self._parent_for(txn_id, node)
+    def _note(self, _position, now, node: str, txn_id: str,
+              text: str) -> None:
+        target = self._under(txn_id, node)
         if target is not None:
-            target.add_event(self._now, f"{node}: {text}")
+            target.add_event(now, f"{node}: {text}")
 
     # ------------------------------------------------------------------
     # Finishing and queries
@@ -190,7 +179,7 @@ class SpanTracer(Observer):
         exports well-formed while their duration still shows the stall.
         """
         now = self._now
-        for span in self.spans:
+        for span in self.spans:         # (folds up to now first)
             span.close(now)
         self._phases.clear()
         self._forces.clear()
@@ -215,13 +204,3 @@ class SpanTracer(Observer):
                 out.setdefault(span.name, []).append(span.duration)
         return out
 
-
-def id_of_log(record) -> int:
-    """Key log-force spans by the record's owning log.
-
-    LSNs restart per log manager, so (node-name, lsn) would collide
-    between a TM log and a detached RM's private log on the same node.
-    ``record.node`` is unique per log manager (detached own-log RMs get
-    a ``node/rm`` name), so hashing it keys the force map safely.
-    """
-    return hash(record.node)

@@ -20,7 +20,7 @@ continuously:
 The detectors are one fold over journal rows (:class:`WatchdogScan`).
 :meth:`Watchdog.scan` packs any entry sequence into rows and folds
 them; :meth:`Watchdog.attach` runs the same fold live over the rows of
-an internal :class:`~repro.obs.journal.JournalRecorder`.  Findings feed
+the cluster's :class:`~repro.obs.journal.JournalTap`.  Findings feed
 :class:`~repro.obs.report.RunReport` and
 :func:`prometheus_text` — a text-exposition snapshot in the format the
 future TCP transport will serve on a metrics port.
@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.journal import (DELIVER, GRANT, HARDEN, SEND,
                                SETTLED_STATES, TRANSITION, WAIT, WRITE,
-                               JournalEntry, JournalRecorder, JournalRows)
+                               Fold, JournalEntry, JournalRows)
 
 #: Detector names, in report order (all always appear in the
 #: Prometheus exposition, zero-valued when quiet).  ``link_down`` is an
@@ -74,51 +74,48 @@ class WatchdogFinding:
         return f"<WatchdogFinding {self.describe()}>"
 
 
-class Watchdog:
+class Watchdog(Fold):
     """Threshold-configured detectors over journal entries.
 
     ``in_doubt_threshold`` / ``lock_wait_threshold`` are sim-time
     durations; windows at least that long fire.  Windows still open
     when the journal ends always fire — an unresolved in-doubt txn or
-    an ungranted lock is a finding at any duration.
+    an ungranted lock is a finding at any duration.  Attached, the
+    watchdog folds the cluster's tap and keeps its rows (:meth:`entries`).
     """
+
+    keeps_rows = True
 
     def __init__(self, in_doubt_threshold: float = 50.0,
                  lock_wait_threshold: float = 50.0) -> None:
         self.in_doubt_threshold = in_doubt_threshold
         self.lock_wait_threshold = lock_wait_threshold
-        #: The internal recorder :meth:`attach` creates.
-        self.recorder: Optional[JournalRecorder] = None
+        #: The journal folded so far (since attach).
+        self.rows: Optional[JournalRows] = None
+        self._scan: Optional[WatchdogScan] = None
         self._external: List[WatchdogFinding] = []
 
     # ------------------------------------------------------------------
     # Live mode
     # ------------------------------------------------------------------
-    def attach(self, cluster) -> "Watchdog":
-        """Record live through an internal journal recorder."""
-        if self.recorder is None:
-            self.recorder = JournalRecorder()
-        self.recorder.attach(cluster)
-        return self
+    def _install(self, cluster) -> None:
+        super()._install(cluster)
+        self._scan = self.incremental()
 
-    def detach(self) -> None:
-        if self.recorder is not None:
-            self.recorder.detach()
+    def _fold(self, rows: JournalRows, start: int) -> None:
+        self._scan.feed_rows(rows, start)
 
-    @property
-    def attached(self) -> bool:
-        return self.recorder is not None and self.recorder.attached
-
-    def findings(self) -> List[WatchdogFinding]:
-        """Scan the live recorder's journal so far."""
-        if self.recorder is None:
+    def findings(self, end_time: Optional[float] = None
+                 ) -> List[WatchdogFinding]:
+        """The findings over the journal folded so far, open windows
+        closed at ``end_time`` (default: the newest entry)."""
+        if self._scan is None:
             return []
-        scan = self.incremental()
-        scan.feed_rows(self.recorder.rows)
-        return scan.findings()
+        self.sync()
+        return self._scan.findings(end_time)
 
     def entries(self, start: int = 0) -> List[JournalEntry]:
-        return self.recorder.entries(start) if self.recorder else []
+        return self.rows.entries(start) if self.rows is not None else []
 
     def record_external(self, finding: WatchdogFinding) -> None:
         """File a finding from outside the journal (e.g. the transport
@@ -140,8 +137,8 @@ class Watchdog:
         return scan.findings(end_time)
 
     def incremental(self) -> "WatchdogScan":
-        """A scan that is fed the journal piece by piece (the admin
-        plane feeds it the new tail every few seconds)."""
+        """A scan that is fed the journal piece by piece (an attached
+        watchdog feeds its own the tap's new rows)."""
         return WatchdogScan(self)
 
 
@@ -193,7 +190,7 @@ class WatchdogScan:
             raise ValueError("a WatchdogScan folds one journal store")
         name = self._name
         for index, (t, kind, node, txn, _, ref, peer, lsn, forced, p0,
-                    p1) in enumerate(rows.rows(start), start):
+                    p1, _) in enumerate(rows.rows(start), start):
             self._last_time = max(self._last_time, t)
             if kind == TRANSITION:
                 if txn >= 0:

@@ -10,7 +10,6 @@ assert exact message/log counts against the paper's analytic tables.
 from repro.sim.events import (
     Event,
     EventQueue,
-    HeapEventQueue,
     WheelEventQueue,
 )
 from repro.sim.gcpolicy import GC_POLICY, deferred_gc
@@ -27,7 +26,6 @@ __all__ = [
     "EventInterrupt",
     "EventQueue",
     "GC_POLICY",
-    "HeapEventQueue",
     "RandomStream",
     "SimulationError",
     "Simulator",

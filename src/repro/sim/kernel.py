@@ -40,14 +40,12 @@ from repro.sim.events import (
     _new_event,
     Event,
     EventQueue,
-    HeapEventQueue,
     WheelEventQueue,
 )
 from repro.sim.randomness import RandomStream, StreamFactory
 
 __all__ = [
     "EventInterrupt",
-    "HeapEventQueue",
     "KernelProfilerProtocol",
     "SimulationError",
     "Simulator",
@@ -135,9 +133,8 @@ class Simulator:
     #: Class-level scheduler override, mirroring ``default_profiler``:
     #: simulators built while this is set (e.g. deep inside a sweep
     #: cell) use it as their event queue.  ``None`` means the default
-    #: :class:`WheelEventQueue`; the differential tests set
-    #: :class:`HeapEventQueue` here to replay whole workloads on the
-    #: reference scheduler.
+    #: :class:`WheelEventQueue`; the differential tests set their heap
+    #: queue here to replay whole workloads on a reference scheduler.
     default_queue_class: Optional[Type] = None
 
     def __init__(self, seed: int = 0,

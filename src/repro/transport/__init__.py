@@ -29,7 +29,7 @@ from repro.transport.torture import (LiveTortureReport, SITES, TortureCell,
 from repro.transport.twin import (DEFAULT_NODES, TWIN_PROTOCOLS,
                                   ScheduledNetwork, TwinReport,
                                   classify_socket_error, delivery_schedule,
-                                  loopback_available, loopback_status,
+                                  loopback_status,
                                   run_twin_check, run_twin_matrix,
                                   twin_specs)
 
@@ -66,7 +66,6 @@ __all__ = [
     "TwinReport",
     "classify_socket_error",
     "delivery_schedule",
-    "loopback_available",
     "loopback_status",
     "run_twin_check",
     "run_twin_matrix",

@@ -22,14 +22,14 @@ route          body
                :meth:`repro.ops.OperatorConsole.force_outcome`
 =============  ========================================================
 
-The PR 7 watchdog detectors run *continuously* here: a recurring
+The watchdog detectors run *continuously* here: a recurring
 :meth:`LiveClock.timer` (deliberately untracked, so it never blocks
-quiescence) feeds the journal rows recorded since the last tick to
-an incremental scan every ``watchdog_interval`` seconds and publishes
-per-detector finding counts as registry gauges — a tick costs what the
-last interval recorded, however long the server has been up.  The
-folded rows are then spilled, if the recorder's store has a segment
-file, so the resident journal is the last interval's tail.
+quiescence) brings every fold of the cluster's journal tap up to date
+every ``watchdog_interval`` seconds and publishes per-detector finding
+counts as registry gauges — a tick costs what the last interval
+recorded, however long the server has been up.  The folded rows are
+then spilled, if the journal's store has a segment file, so the
+resident journal is the last interval's tail.
 """
 
 from __future__ import annotations
@@ -51,17 +51,16 @@ class AdminServer:
     """HTTP admin endpoint + continuous watchdog for one live cluster.
 
     ``cluster`` must expose the LiveCluster surface (``simulator`` /
-    ``nodes`` / ``metrics`` / ``transport``).  The registry, recorder,
-    watchdog and console are optional — routes needing an absent
-    collaborator answer 503 instead of failing to start.
+    ``nodes`` / ``metrics`` / ``transport``).  The registry, watchdog
+    and console are optional — routes needing an absent collaborator
+    answer 503 instead of failing to start.  A watchdog is attached to
+    the cluster here if it is not already.
     """
 
-    def __init__(self, cluster, registry=None, recorder=None,
-                 watchdog=None, console=None,
+    def __init__(self, cluster, registry=None, watchdog=None, console=None,
                  watchdog_interval: float = 2.0) -> None:
         self.cluster = cluster
         self.registry = registry
-        self.recorder = recorder
         self.watchdog = watchdog
         self.console = console
         self.watchdog_interval = watchdog_interval
@@ -71,9 +70,8 @@ class AdminServer:
         self._timer = None
         self._started_at = 0.0
         self._findings_gauge = None
-        #: The journal fold the ticks feed, and how far they have read.
-        self._scan = watchdog.incremental() if watchdog is not None else None
-        self._cursor = 0
+        if watchdog is not None:
+            watchdog.attach(cluster)
         if registry is not None:
             self._findings_gauge = registry.gauge(
                 "watchdog_findings", "Current watchdog findings, by "
@@ -115,15 +113,11 @@ class AdminServer:
     def _scan_now(self) -> List:
         if self.watchdog is None:
             return []
-        recorder = self.recorder if self.recorder is not None \
-            else self.watchdog.recorder
-        if recorder is not None:
-            self._cursor = self._scan.feed_rows(recorder.rows,
-                                                self._cursor)
-            # Folded rows are not read again while serving: a
-            # spilling store moves them out of memory.
-            recorder.rows.spill(self._cursor)
-        self.findings = self._scan.findings(
+        if self.watchdog.tap is not None:
+            # Every fold to now; rows all have read are not read again
+            # while serving, so a spilling store moves them out of memory.
+            self.watchdog.tap.drain()
+        self.findings = self.watchdog.findings(
             end_time=self.cluster.simulator.now)
         if self._findings_gauge is not None:
             from repro.obs.watchdog import DETECTORS

@@ -323,11 +323,12 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
 
     The full operations plane attaches before traffic starts: a
     streaming :class:`~repro.obs.registry.MetricsRegistry`, the
-    flight-recorder :class:`~repro.obs.journal.JournalRecorder`, a
-    :class:`~repro.obs.watchdog.Watchdog` fed the journal's new rows
-    every couple of seconds by
+    flight-recorder :class:`~repro.obs.journal.JournalRecorder` and a
+    :class:`~repro.obs.watchdog.Watchdog`, the registry and watchdog
+    folding the journal's rows, which
     the :class:`~repro.transport.admin.AdminServer` (bound on
-    ``admin_host:admin_port`` unless ``admin_port`` is None), and an
+    ``admin_host:admin_port`` unless ``admin_port`` is None) brings up
+    to date every couple of seconds, and an
     :class:`~repro.ops.OperatorConsole` whose heuristic verbs the
     admin plane serves on ``/resolve``.
 
@@ -336,7 +337,7 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
     ``drain_timeout``) for tracked work to finish, flush the journal
     to ``journal_path`` (defaults to ``<log_dir>/journal.jsonl`` when
     ``log_dir`` is set), close the WALs, and return — the CLI exits 0.
-    While serving, the rows the watchdog has folded live in a ``.rows``
+    While serving, the rows every fold has read live in a ``.rows``
     segment beside that file (``journal.rows`` by default), removed
     once the JSONL is written.
 
@@ -359,7 +360,7 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
     if path is None and log_dir is not None:
         path = os.path.join(log_dir, "journal.jsonl")
     # The journal's folded rows spill next to it, so memory holds only
-    # what the watchdog has not read yet.
+    # what the folds have not read yet.
     segment = None if path is None else os.path.splitext(path)[0] + ".rows"
     cluster = LiveCluster(config, nodes=list(nodes), seed=seed,
                           host=host, base_port=base_port, log_dir=log_dir)
@@ -367,8 +368,8 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
     recorder = JournalRecorder(segment=segment).attach(cluster)
     watchdog = Watchdog()
     console = OperatorConsole(cluster)
-    admin = AdminServer(cluster, registry=registry, recorder=recorder,
-                        watchdog=watchdog, console=console)
+    admin = AdminServer(cluster, registry=registry, watchdog=watchdog,
+                        console=console)
     control = control or ServeControl()
 
     # A link that exhausts its reconnect budget is an operational
@@ -428,9 +429,9 @@ async def serve(config: ProtocolConfig, nodes: Iterable[str],
         for timer in checkpoint_timer:
             timer.cancel()
         await admin.stop()
-        recorder.detach()
         registry.detach()
         watchdog.detach()
+        recorder.detach()       # last: the tap's store stays its journal
         if path is not None:
             # Streamed a chunk of rows at a time: the drain holds no
             # more of the journal in memory than the run did.

@@ -34,7 +34,7 @@ from repro.core.config import (BASIC_2PC, PRESUMED_ABORT, PRESUMED_COMMIT,
                                PRESUMED_NOTHING, ProtocolConfig)
 from repro.core.spec import TransactionSpec
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import DeliveryName, Network
 from repro.obs.diff import Divergence, diff_journals
 from repro.obs.journal import JournalEntry, JournalRecorder
 from repro.obs.registry import MetricsRegistry
@@ -121,7 +121,7 @@ class ScheduledNetwork(Network):
             # a divergence; deliver now and let the diff localize it.
             arrival = self.simulator.now
         self.simulator.at(arrival, lambda: self._deliver(message),
-                          name=f"deliver:{message.describe()}")
+                          name=DeliveryName(message))
 
 
 @dataclass
@@ -227,8 +227,7 @@ async def _run_live(config: ProtocolConfig, seed: int, txns: int,
     checker = ProtocolChecker().attach(cluster)
     # The full admin plane rides along: the twin proves that serving
     # /metrics and rescanning watchdogs does not perturb the run.
-    admin = AdminServer(cluster, registry=registry, recorder=recorder,
-                        watchdog=Watchdog(),
+    admin = AdminServer(cluster, registry=registry, watchdog=Watchdog(),
                         console=OperatorConsole(cluster))
     await cluster.start()
     await admin.start()
@@ -435,8 +434,3 @@ def loopback_status() -> Tuple[bool, str]:
         return True, "ok"
     except OSError as error:
         return False, classify_socket_error(error)
-
-
-def loopback_available() -> bool:
-    """Can we bind a localhost TCP socket in this sandbox?"""
-    return loopback_status()[0]

@@ -24,6 +24,7 @@ from repro.core.spec import flat_tree
 from repro.lrm.operations import write_op
 from repro.net.message import MessageType
 from repro.obs import JournalRecorder, MetricsRegistry, Watchdog
+from repro.obs.journal import ROW
 from repro.ops import OperatorConsole
 from repro.transport import AdminServer, LiveCluster, ServeControl, serve
 from repro.transport.wire import encode_frame, read_frame, spec_to_wire
@@ -67,8 +68,8 @@ async def start_plane(cluster):
     """The full operations plane on an already-built cluster."""
     registry = MetricsRegistry().attach(cluster)
     recorder = JournalRecorder().attach(cluster)
-    admin = AdminServer(cluster, registry=registry, recorder=recorder,
-                        watchdog=Watchdog(), console=OperatorConsole(cluster))
+    admin = AdminServer(cluster, registry=registry, watchdog=Watchdog(),
+                        console=OperatorConsole(cluster))
     await cluster.start()
     address = await admin.start()
     return admin, address, registry, recorder
@@ -206,7 +207,7 @@ class TestServeWiring:
 
         spilled, status, expected = asyncio.run(scenario())
         assert 0 < spilled[0] < spilled[1] < spilled[2]
-        assert spilled[0] % 57 == 0                 # whole packed rows
+        assert spilled[0] % ROW.size == 0           # whole packed rows
         assert status["frames"]["rejected"] == 1
         # Two recorders read the real-time clock one after the other, so
         # only the times differ; everything else is byte-identical.

@@ -73,16 +73,16 @@ def run_matrix_case(config, victim: str, k: int, mode: str):
         crash_after_log_write(cluster, victim, k)
     else:
         crash_after_send(cluster, victim, k)
-    restart_done = {"armed": False}
+    # The crash itself arms the restart: with nothing else pending (a
+    # settled transaction leaves no timer behind) no later event would.
+    node = cluster.nodes[victim]
+    crash = node.crash
 
-    def maybe_restart():
-        node = cluster.nodes[victim]
-        if not node.alive and not restart_done["armed"]:
-            restart_done["armed"] = True
-            cluster.simulator.schedule(30.0, node.restart,
-                                       name="matrix-restart")
+    def crash_then_restart() -> None:
+        crash()
+        cluster.simulator.schedule(30.0, node.restart, name="matrix-restart")
 
-    cluster.simulator.add_event_hook(lambda e: maybe_restart())
+    node.crash = crash_then_restart
     cluster.start_transaction(spec)
     cluster.run_until(600.0, max_events=400_000)
     checker.check_atomicity(spec.txn_id)

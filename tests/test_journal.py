@@ -36,9 +36,11 @@ from repro.obs import (
     record_workload_journal,
     run_journal_self_check,
 )
+from repro.obs.journal import ROW
 from repro.parallel.pool import RunSpec, run_specs
-from repro.sim.events import HeapEventQueue, WheelEventQueue
+from repro.sim.events import WheelEventQueue
 from repro.sim.kernel import Simulator
+from tests.heap_queue import HeapEventQueue
 from tests.conftest import updating_spec
 
 
@@ -382,7 +384,7 @@ class TestJournalRows:
         whole.detach()
         rows = spilling.rows
         assert 0 < rows.base < len(rows) == len(whole)
-        assert segment.stat().st_size == rows.base * 57
+        assert segment.stat().st_size == rows.base * ROW.size
         assert len(rows.buf) < len(whole.rows.buf)
         meta = {"spilled": True}
         assert spilling.to_jsonl(meta) == whole.to_jsonl(meta)
@@ -418,20 +420,21 @@ class TestJournalRows:
             names = ["n0", "n1", "n2"]
             cluster = Cluster(PRESUMED_ABORT, nodes=names, seed=3)
             recorder = JournalRecorder().attach(cluster)
+            tap = recorder.tap          # the maps live on the tap
             for spec in steady_specs(names, 400, seed=3):
                 cluster.run_transaction(spec)
             recorder.detach()
-            return recorder
+            return recorder, tap
 
         monkeypatch.setattr(journal, "FORGET_WINDOW", 10 ** 9)
-        kept = record()
+        kept, kept_tap = record()
         monkeypatch.setattr(journal, "FORGET_WINDOW", window)
-        trimmed = record()
-        assert len(kept._states) > 1000
+        trimmed, trimmed_tap = record()
+        assert len(kept_tap._states) > 1000
         # The window, plus pairs whose END record waits for a force.
-        held = window + len(trimmed._unhardened)
-        assert len(trimmed._states) <= held
-        assert len(trimmed._last_txn_site) <= held
+        held = window + len(trimmed_tap._unhardened)
+        assert len(trimmed_tap._states) <= held
+        assert len(trimmed_tap._last_txn_site) <= held
         assert trimmed.to_jsonl() == kept.to_jsonl()
 
     def test_packing_translates_and_drops_parents(self):

@@ -30,6 +30,8 @@ from repro.obs import (
     run_faulty_audit_cell,
     sparkline,
 )
+from repro.net.message import MessageType, Phase
+from repro.obs.journal import FOLD_BATCH, ROW
 from tests.conftest import updating_spec
 
 
@@ -100,6 +102,41 @@ class TestLedgerAttribution:
         # PA coordinator (prepared + committed vs committed only).
         assert per_node[1].forced_writes == 2
         assert per_node[0].forced_writes == 1
+
+
+class TestLedgerFold:
+    def test_recovery_phase_resend_is_a_recovery_flow(self):
+        """A send counts under the message's own phase, which recovery
+        paths set whatever the type: a PREPARE resent on the recovery
+        path is a recovery flow.  The ledger keeps the phase of a pair
+        the journal has forgotten."""
+        cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
+        ledger = CostLedger().attach(cluster)
+        cluster.run_transaction(updating_spec("c", ["s"], txn_id="T1"))
+        entry = ledger.entries["T1"]
+        commit, recovery = entry.commit_flows, entry.recovery_flows
+        cluster.node("c").send(MessageType.PREPARE, "s", "T1",
+                               phase=Phase.RECOVERY)
+        entry = ledger.entries["T1"]
+        assert (entry.commit_flows, entry.recovery_flows) == \
+            (commit, recovery + 1)
+        assert entry.flows[("c", "forgotten", "prepare")] == 1
+
+    def test_unread_fold_holds_at_most_one_batch(self):
+        """Nobody reads the ledger, yet it is folded every FOLD_BATCH
+        rows; with no recorder attached the tap keeps no more rows in
+        memory than one batch."""
+        cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s1", "s2"])
+        ledger = CostLedger().attach(cluster)
+        tap, most = ledger.tap, 0
+        for index in range(150):
+            cluster.run_transaction(
+                updating_spec("c", ["s1", "s2"], txn_id=f"B{index}"))
+            held = len(tap.rows.buf) // ROW.size + len(tap.rows.pending)
+            most = max(most, len(tap.rows) - ledger.cursor, held)
+        assert len(tap.rows) > 3 * FOLD_BATCH
+        assert 0 < most <= FOLD_BATCH
+        assert len(ledger._entries) >= 100      # folded, never read
 
 
 class TestLedgerAttachDetach:

@@ -337,3 +337,18 @@ class TestExpositionConformance:
                                               txn_id="shape"))
         names_after = list(parse_exposition(registry.prometheus_text()))
         assert names_after == names_before    # pre-declared families
+
+    def test_mid_run_reads_equal_one_full_fold(self):
+        """Reading the exposition mid-run folds the rows so far; a
+        registry read after every event equals one read only at the
+        end, whichever batch boundaries the reads fall on."""
+        cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s1", "s2"])
+        eager = MetricsRegistry().attach(cluster)
+        lazy = MetricsRegistry().attach(cluster)
+        for index in range(30):
+            cluster.start_transaction(
+                updating_spec("c", ["s1", "s2"], txn_id=f"M{index}"))
+            while cluster.simulator.step():
+                if cluster.simulator.events_processed % 7 == 0:
+                    eager.prometheus_text()
+        assert eager.prometheus_text() == lazy.prometheus_text()

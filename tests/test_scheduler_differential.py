@@ -2,7 +2,7 @@
 
 The wheel (:class:`repro.sim.events.WheelEventQueue`) exists purely as
 an optimization; it must be *observationally identical* to the heap
-reference (:class:`repro.sim.events.HeapEventQueue`).  These tests run
+reference (:class:`tests.heap_queue.HeapEventQueue`).  These tests run
 whole protocol workloads — not queue microtests — under each scheduler
 and demand bit-identical results: same transaction outcomes, same
 checker verdicts, same per-transaction cost triples, same trace event
@@ -26,12 +26,13 @@ from repro.core.spec import flat_tree
 from repro.lrm.operations import write_op
 from repro.obs import CostLedger
 from repro.parallel.pool import RunSpec, run_specs
-from repro.sim.events import HeapEventQueue, WheelEventQueue
+from repro.sim.events import WheelEventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import RandomStream
 from repro.trace.recorder import Tracer
 from repro.verify.checker import ProtocolChecker
 from repro.workload.generator import WorkloadGenerator, WorkloadParams
+from tests.heap_queue import HeapEventQueue
 
 PROTOCOLS = {
     "basic": BASIC_2PC,

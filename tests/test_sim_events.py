@@ -5,9 +5,9 @@ import pytest
 from repro.sim.events import (
     Event,
     EventQueue,
-    HeapEventQueue,
     WheelEventQueue,
 )
+from tests.heap_queue import HeapEventQueue
 
 
 def test_pop_orders_by_time():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.config import PRESUMED_ABORT
+from repro.obs import PHASE_OF_STATE, SpanTracer
 from repro.trace.diagram import render_sequence_diagram
 from repro.trace.recorder import TraceEvent, Tracer
 
@@ -175,3 +176,59 @@ class TestAttachDetach:
         assert len(cluster.network.on_send) == 1
         cluster.run_transaction(updating_spec("a", ["b"]))
         assert other_calls
+
+
+# ----------------------------------------------------------------------
+# SpanTracer: a fold over the journal rows
+# ----------------------------------------------------------------------
+def test_notes_land_on_the_phase_open_when_they_fired():
+    """A note is folded at its place in the row stream: one fired right
+    after a transition lands on the phase span that transition opened
+    (or the txn span, for a state that opens none), although the rows
+    are folded a batch at a time."""
+    cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s1", "s2"])
+    tracer = SpanTracer().attach(cluster)
+    for node in cluster.nodes.values():
+        node.on_transition.append(
+            lambda name, txn, old, new, node=node:
+            node.note(txn, f"entered {new.value}"))
+    for index in range(40):
+        cluster.run_transaction(
+            updating_spec("c", ["s1", "s2"], txn_id=f"N{index}"))
+    phase_of = {state.value: name for state, name in PHASE_OF_STATE.items()}
+    checked = 0
+    for span in tracer.finish():
+        for __, text in span.events:
+            node, __, state = text.partition(": entered ")
+            if not state:
+                continue                # the protocol's own notes
+            if state in phase_of:
+                assert (span.name, span.node, span.attributes["state"]) \
+                    == (phase_of[state], node, state), text
+            else:
+                assert span.kind == "txn", text
+            checked += 1
+    assert checked > 40 * 10
+
+
+def test_restart_rebuild_opens_no_second_root_span():
+    """Restart recovery rebuilds the coordinator's parentless context:
+    a tracer that saw the transaction begin keeps its one root span; a
+    tracer attached after the begin opens its root at the rebuild, and
+    never at a subordinate (whose context has a parent)."""
+    cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
+    whole = SpanTracer().attach(cluster)
+    cluster.start_transaction(updating_spec("c", ["s"], txn_id="R1"))
+    while cluster.node("c").ctx("R1") is None:
+        cluster.simulator.step()
+    late = SpanTracer().attach(cluster)
+    while cluster.durable_outcome("c", "R1") != "commit":
+        cluster.simulator.step()
+    cluster.crash("c")
+    cluster.restart("c")
+    cluster.run_until(cluster.simulator.now + 500.0)
+    roots = [span for span in whole.finish() if span.kind == "txn"]
+    assert [(span.node, span.txn_id) for span in roots] == [("c", "R1")]
+    roots = [span for span in late.finish() if span.kind == "txn"]
+    assert [span.node for span in roots] == ["c"]
+    assert roots[0].start > whole.spans[0].start

@@ -281,13 +281,13 @@ class TestIncrementalScan:
         assert_incremental_matches(cell.journal)
 
     def test_admin_tick_reads_only_the_tail(self, monkeypatch):
-        """The admin plane's recurring scan folds the recorder's rows
-        past a cursor and builds no entry objects."""
+        """The admin plane's recurring scan folds the journal's rows
+        past the watchdog's cursor and builds no entry objects."""
         from repro.obs.journal import JournalEntry
         from repro.transport.admin import AdminServer
         cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
         recorder = JournalRecorder().attach(cluster)
-        admin = AdminServer(cluster, recorder=recorder,
+        admin = AdminServer(cluster,
                             watchdog=Watchdog(in_doubt_threshold=0.0))
         built = []
         init = JournalEntry.__init__
@@ -304,7 +304,7 @@ class TestIncrementalScan:
             monkeypatch.setattr(JournalEntry, "__init__", init)
             assert not built
             # Each tick stops exactly at the journal's end.
-            assert admin._cursor == len(recorder)
+            assert admin.watchdog.cursor == len(recorder)
             assert [f.to_dict() for f in found] == [
                 f.to_dict() for f in Watchdog(in_doubt_threshold=0.0).scan(
                     recorder.entries(), end_time=cluster.simulator.now)]

@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.config import PRESUMED_ABORT
+from repro.core.context import CommitContext
 from repro.fuzz import FuzzReport, fuzz
+from repro.sim.kernel import Simulator
 
+from tests.heap_queue import HeapEventQueue
 from tests.conftest import assert_atomic, updating_spec
 
 
@@ -56,6 +59,28 @@ class TestWorkTimeout:
         assert not handle.done                # still committing, not aborted
         cluster.run_until(500.0)
         assert handle.committed
+
+    def test_settled_transactions_leave_no_timer_behind(self, monkeypatch):
+        """Both work timers (the root's and each participant's) go with
+        the context: after sequential transactions settle, well inside
+        the timeout, no pending event still holds an evicted context."""
+        monkeypatch.setattr(Simulator, "default_queue_class",
+                            HeapEventQueue)
+        config = PRESUMED_ABORT.with_options(work_timeout=1000.0)
+        cluster = Cluster(config, nodes=["c", "s1", "s2"])
+        for index in range(6):
+            handle = cluster.start_transaction(
+                updating_spec("c", ["s1", "s2"], txn_id=f"wt{index}"))
+            cluster.run_until(cluster.simulator.now + 50.0)
+            assert handle.committed
+        live = {id(context) for node in cluster.nodes.values()
+                for context in node.contexts.values()}
+        held = [entry[-1].name for entry in cluster.simulator._queue._heap
+                if not entry[-1].cancelled
+                and any(isinstance(cell.cell_contents, CommitContext)
+                        and id(cell.cell_contents) not in live
+                        for cell in entry[-1].action.__closure__ or ())]
+        assert held == []
 
 
 class TestFuzz:
