@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.log.group_commit import GroupCommitPolicy, IMMEDIATE
+from repro.log.records import LogRecordType
 
 
 class Presumption(Enum):
@@ -155,8 +156,23 @@ class ProtocolConfig:
         return self.presumption in (Presumption.NOTHING, Presumption.COMMIT)
 
     @property
-    def initiation_record_forced(self) -> bool:
-        return self.coordinator_logs_before_prepare
+    def initiation_record(self) -> LogRecordType:
+        """What PN (commit-pending) or PC (collecting) forces first."""
+        return (LogRecordType.COMMIT_PENDING
+                if self.presumption is Presumption.NOTHING
+                else LogRecordType.COLLECTING)
+
+    @property
+    def presumed_abort(self) -> bool:
+        """No information means abort: aborts are not logged, forced,
+        acknowledged or ended."""
+        return self.presumption is Presumption.ABORT
+
+    @property
+    def presumed_commit(self) -> bool:
+        """No information means commit: a subordinate's commit is ended
+        by nobody, and an unknown transaction is answered commit."""
+        return self.presumption is Presumption.COMMIT
 
     @property
     def abort_needs_acks(self) -> bool:

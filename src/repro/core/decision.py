@@ -72,7 +72,7 @@ class DecisionMixin:
         was_voting_subordinate = (context.parent is not None
                                   and not context.is_decision_maker)
         self.transition(context, TxnState.ABORTING)
-        if self.config.presumption.value == "presumed-abort":
+        if self.config.presumed_abort:
             # Presumed Abort: no abort record anywhere on the
             # coordinator side; absence of information means abort.
             self._propagate_abort(context, was_voting_subordinate)
@@ -310,7 +310,7 @@ class DecisionMixin:
             self._arm_ack_timer(context)
             self._maybe_finish(context)
 
-        if self.config.presumption.value == "presumed-abort":
+        if self.config.presumed_abort:
             # Non-forced abort record: losing it is covered by the
             # presumption (this is PA's saving over the baseline).
             self.log_tm(context, LogRecordType.ABORTED,
@@ -456,10 +456,9 @@ class DecisionMixin:
             return False  # written when the implied ack arrives
         if context.is_decision_maker:
             return True
-        presumption = self.config.presumption.value
-        if outcome == "commit" and presumption == "presumed-commit":
+        if outcome == "commit" and self.config.presumed_commit:
             return False
-        if outcome == "abort" and presumption == "presumed-abort":
+        if outcome == "abort" and self.config.presumed_abort:
             return False
         return True
 
@@ -510,7 +509,7 @@ class DecisionMixin:
         only if the transaction commits."""
         if outcome != "commit":
             return
-        for child, info in context.children_votes().items():
+        for child, info in context.votes.items():
             session = self.sessions.get(child)
             if session is None:
                 continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.context import CommitContext
@@ -125,19 +125,21 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         #: Transactions each partner has started here (volatile).
         self._arrivals: Dict[str, Arrivals] = {}
         self._deferred_outbox: Dict[str, List[Message]] = {}
-        self._handlers: Dict[MessageType, Callable[[Message], None]] = {
-            MessageType.DATA: self.on_data,
-            MessageType.PREPARE: self.on_prepare,
-            MessageType.VOTE_YES: self.on_vote,
-            MessageType.VOTE_NO: self.on_vote,
-            MessageType.VOTE_READ_ONLY: self.on_vote,
-            MessageType.COMMIT: self.on_outcome_message,
-            MessageType.ABORT: self.on_outcome_message,
-            MessageType.ACK: self.on_ack,
-            MessageType.INQUIRE: self.on_inquire,
-            MessageType.OUTCOME: self.on_recovery_outcome,
-            MessageType.RECOVERY_ACK: self.on_recovery_ack,
-        }
+        #: Receive dispatch, by message type value (a string hashes in
+        #: C; an Enum member hashes through Python).
+        self._handlers: Dict[str, Callable[[Message], None]] = {
+            msg_type._value_: handler for msg_type, handler in (
+                (MessageType.DATA, self.on_data),
+                (MessageType.PREPARE, self.on_prepare),
+                (MessageType.VOTE_YES, self.on_vote),
+                (MessageType.VOTE_NO, self.on_vote),
+                (MessageType.VOTE_READ_ONLY, self.on_vote),
+                (MessageType.COMMIT, self.on_outcome_message),
+                (MessageType.ABORT, self.on_outcome_message),
+                (MessageType.ACK, self.on_ack),
+                (MessageType.INQUIRE, self.on_inquire),
+                (MessageType.OUTCOME, self.on_recovery_outcome),
+                (MessageType.RECOVERY_ACK, self.on_recovery_ack))}
         #: Trace hook: callables invoked with (node, txn_id, text).
         self.on_note: List[Callable[[str, str, str], None]] = []
         #: Phase-boundary hook: callables invoked with
@@ -194,8 +196,8 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             return self.default_rm
         return self.detached_rms[rm_name]
 
-    def all_rms(self) -> List[ResourceManager]:
-        return [self.default_rm] + list(self.detached_rms.values())
+    def all_rms(self) -> Tuple[ResourceManager, ...]:
+        return (self.default_rm, *self.detached_rms.values())
 
     def logs(self) -> List[LogManager]:
         """This node's distinct logs: the TM log first, then the private
@@ -216,12 +218,15 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             raise ProtocolError(f"{self.name}: no context for {txn_id}")
         return context
 
-    def _new_context(self, txn_id: str, **kwargs: Any) -> CommitContext:
+    def _new_context(self, txn_id: str,
+                     spec: Optional[TransactionSpec] = None,
+                     participant: Optional[ParticipantSpec] = None,
+                     parent: Optional[str] = None) -> CommitContext:
         if txn_id in self.contexts:
             raise ProtocolError(
                 f"{self.name}: context for {txn_id} already exists")
-        context = CommitContext(txn_id=txn_id, node=self.name,
-                                incarnation=self.crash_count, **kwargs)
+        context = CommitContext(txn_id, self.name, spec, participant,
+                                parent, self.crash_count)
         self.contexts[txn_id] = context
         for hook in self.on_transition:
             hook(self.name, txn_id, None, context.state)
@@ -313,20 +318,22 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
 
         Deferred messages model the long-locks variation: they wait in
         an outbox and ride piggybacked on the next real message to the
-        same destination, costing zero flows.
+        same destination, costing zero flows.  ``flags`` and
+        ``payload`` become the message's own (callers pass fresh
+        dictionaries).
         """
         if not self.alive:
             return None  # a crashed node sends nothing
-        message = Message(msg_type=msg_type, txn_id=txn_id, src=self.name,
-                          dst=dst, phase=phase, flags=dict(flags or {}),
-                          payload=dict(payload or {}))
+        message = Message(msg_type, txn_id, self.name, dst, phase,
+                          flags or {}, payload or {})
         if defer:
             self._deferred_outbox.setdefault(dst, []).append(message)
             self.note(txn_id, f"defers {msg_type.value} to {dst} (long locks)")
             return None
-        deferred = self._deferred_outbox.pop(dst, [])
-        if deferred:
-            message.payload.setdefault("piggyback", []).extend(deferred)
+        if self._deferred_outbox:
+            deferred = self._deferred_outbox.pop(dst, None)
+            if deferred:
+                message.payload.setdefault("piggyback", []).extend(deferred)
         self.network.send(message)
         return message
 
@@ -351,13 +358,12 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         # Any traffic from a partner implies its outstanding last-agent
         # acknowledgments (paper §4: "the next data sent ... serves as
         # an implied acknowledgment").
-        self.handle_implied_ack(message.src)
-        self._dispatch(message)
-        for piggybacked in message.payload.get("piggyback", []):
-            self._dispatch(piggybacked)
-
-    def _dispatch(self, message: Message) -> None:
-        self._handlers[message.msg_type](message)
+        if self._implied_ack_waiters:
+            self.handle_implied_ack(message.src)
+        handlers = self._handlers
+        handlers[message.msg_type._value_](message)
+        for piggybacked in message.payload.get("piggyback", ()):
+            handlers[piggybacked.msg_type._value_](piggybacked)
 
     # ------------------------------------------------------------------
     # Data phase: enrollment and work tracking
@@ -405,7 +411,8 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         if spec.await_work_done:
             context.children_work_pending = set(context.active_children)
         for child in children:
-            self.sessions.setdefault(child.node, Session(partner=child.node))
+            if child.node not in self.sessions:
+                self.sessions[child.node] = Session(child.node)
             self.send(MessageType.DATA, child.node, spec.txn_id,
                       flags={"enroll": True},
                       payload={"spec": spec, "participant": child,
@@ -492,7 +499,8 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             self.start_voting(context)
 
     def on_data(self, message: Message) -> None:
-        if message.flag("enroll"):
+        flags = message.flags
+        if flags.get("enroll"):
             if self.ctx(message.txn_id) is not None or \
                     self.late_copy(message):
                 # Duplicate delivery of the enrollment: the first copy
@@ -503,12 +511,13 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
                 return
             spec: TransactionSpec = message.payload["spec"]
             participant: ParticipantSpec = message.payload["participant"]
-            self.sessions.setdefault(message.src, Session(partner=message.src))
+            if message.src not in self.sessions:
+                self.sessions[message.src] = Session(message.src)
             # Receiving work makes this partner active again: the
             # leave-out promise only covers transactions with no data.
             self._enroll_local(spec, participant, parent=message.src)
             return
-        if message.flag("work_done"):
+        if flags.get("work_done"):
             context = self.ctx(message.txn_id)
             if context is None:
                 return

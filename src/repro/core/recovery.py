@@ -289,7 +289,7 @@ class RecoveryMixin:
                 # Children we remembered voted YES before the crash.
                 from repro.core.context import VoteInfo
                 from repro.lrm.resource_manager import Vote
-                context.votes[child] = VoteInfo(vote=Vote.YES)
+                context.record_vote(child, VoteInfo(vote=Vote.YES))
         # Re-acquire exclusive locks on the touched keys: the in-doubt
         # window blocks other transactions (the blocking 2PC is famous
         # for, and the reason heuristics exist).
@@ -489,9 +489,7 @@ class RecoveryMixin:
         return None
 
     def _presumed_outcome(self: "TMNode") -> str:
-        return ("commit"
-                if self.config.presumption.value == "presumed-commit"
-                else "abort")
+        return "commit" if self.config.presumed_commit else "abort"
 
     # ------------------------------------------------------------------
     # Receiving recovery traffic

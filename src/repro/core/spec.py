@@ -23,7 +23,7 @@ def next_txn_id(prefix: str = "txn") -> str:
     return f"{prefix}-{next(_TXN_SEQ)}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ParticipantSpec:
     """One member of the commit tree.
 
@@ -58,7 +58,7 @@ class ParticipantSpec:
         return self.parent is None
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionSpec:
     """A complete distributed transaction over a commit tree.
 

@@ -25,12 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import TMNode
 
 
-_VOTE_TYPES = {
-    Vote.YES: MessageType.VOTE_YES,
-    Vote.NO: MessageType.VOTE_NO,
-    Vote.READ_ONLY: MessageType.VOTE_READ_ONLY,
+#: The vote a message carries, by its type's value.
+_TYPE_VOTES = {
+    MessageType.VOTE_YES._value_: Vote.YES,
+    MessageType.VOTE_NO._value_: Vote.NO,
+    MessageType.VOTE_READ_ONLY._value_: Vote.READ_ONLY,
 }
-_TYPE_VOTES = {v: k for k, v in _VOTE_TYPES.items()}
 
 
 class VotingMixin:
@@ -45,10 +45,7 @@ class VotingMixin:
         self.note(context.txn_id, "initiates commit")
         if self.config.coordinator_logs_before_prepare and \
                 self._phase_one_child_names(context):
-            record_type = (LogRecordType.COMMIT_PENDING
-                           if self.config.presumption.value == "presumed-nothing"
-                           else LogRecordType.COLLECTING)
-            self.log_tm(context, record_type,
+            self.log_tm(context, self.config.initiation_record,
                         payload={"children": self._phase_one_child_names(context)},
                         force=True,
                         on_durable=lambda: self.start_voting(context))
@@ -77,7 +74,8 @@ class VotingMixin:
             context.work_done = True
         if context.parent is None:
             context.parent = message.src
-        context.long_locks = context.long_locks or message.flag("long_locks")
+        context.long_locks = context.long_locks or \
+            message.flags.get("long_locks", False)
         if not context.work_done or context.children_work_pending:
             # Peer environments allow a prepare to overtake the work;
             # the vote waits for local completion (paper §4, Read Only).
@@ -96,7 +94,6 @@ class VotingMixin:
 
     def _start_phase_one(self: "TMNode", context: CommitContext) -> None:
         self._sweep_inactive_partners(context)
-        spec_participant = context.participant
 
         # Last-agent designation is honoured only at the decision maker.
         if self.config.last_agent and context.is_decision_maker \
@@ -110,28 +107,37 @@ class VotingMixin:
         downstream = self._downstream_prepare_targets(context)
         if downstream and context.parent is not None \
                 and self.config.coordinator_logs_before_prepare:
-            record_type = (LogRecordType.COMMIT_PENDING
-                           if self.config.presumption.value == "presumed-nothing"
-                           else LogRecordType.COLLECTING)
             # The coordinator field marks this initiation record as a
             # cascaded coordinator's: after a crash, the decision lies
             # upstream, so restart recovery must inquire the parent
             # rather than abort unilaterally like the root may.
-            self.log_tm(context, record_type,
+            self.log_tm(context, self.config.initiation_record,
                         payload={"children": downstream,
                                  "coordinator": context.parent},
                         force=True,
-                        on_durable=lambda: self._send_prepares(context))
+                        on_durable=lambda: self._send_prepares(
+                            context, downstream))
             return
-        del spec_participant
-        self._send_prepares(context)
+        self._send_prepares(context, downstream)
 
     def _sweep_inactive_partners(self: "TMNode",
                                  context: CommitContext) -> None:
-        """Include (or leave out) session partners with no work here."""
-        active = set(context.active_children)
+        """Include (or leave out) session partners with no work here.
+
+        A partner the spec places under another parent is that
+        parent's to prepare, not mine: sweeping it in would have two
+        coordinators prepare one subordinate, each waiting for the
+        other's vote.  The spec's root stays in the sweep, which is how
+        two independent initiators are detected.
+        """
+        active = context.active_children
+        spec = context.spec
         for partner, session in sorted(self.sessions.items()):
             if partner in active or partner == context.parent:
+                continue
+            if spec is not None and spec.has_participant(partner) and \
+                    spec.participant(partner).parent not in (None,
+                                                             self.name):
                 continue
             if self.config.leave_out and session.leavable:
                 context.left_out.append(partner)
@@ -166,10 +172,10 @@ class VotingMixin:
         return [child.node for child in context.spec.children_of(self.name)
                 if child.unsolicited_vote]
 
-    def _send_prepares(self: "TMNode", context: CommitContext) -> None:
-        unsolicited = self._unsolicited_children(context)
-        for child in self._downstream_prepare_targets(context):
-            context.expected_votes.add(child)
+    def _send_prepares(self: "TMNode", context: CommitContext,
+                       downstream: List[str]) -> None:
+        for child in downstream:
+            context.expect_vote(child)
             context.contacted.add(child)
             child_long_locks = bool(
                 context.spec and self.config.long_locks
@@ -182,10 +188,10 @@ class VotingMixin:
                       flags={"long_locks": child_long_locks},
                       payload={"session_seq":
                                self.session_seq(context, child)})
-        for child in unsolicited:
+        for child in self._unsolicited_children(context):
             # No prepare flow: the vote arrives (or already arrived) on
             # the child's own initiative.
-            context.expected_votes.add(child)
+            context.expect_vote(child)
             context.contacted.add(child)
         self._prepare_local_rms(context)
         if self.config.vote_timeout is not None:
@@ -198,13 +204,15 @@ class VotingMixin:
     def _prepare_local_rms(self: "TMNode", context: CommitContext) -> None:
         # Register every expected vote before any prepare can answer
         # synchronously, so a fast voter cannot close the election early.
-        for rm in self.all_rms():
-            context.expected_votes.add(f"rm:{rm.name}")
-        for rm in self.all_rms():
-            key = f"rm:{rm.name}"
+        rms = self.all_rms()
+        keys = [f"rm:{rm.name}" for rm in rms]
+        for key in keys:
+            context.expect_vote(key)
+        for rm, key in zip(rms, keys):
 
             def record(vote: Vote, rm=rm, key=key) -> None:
-                context.votes[key] = VoteInfo(vote=vote, reliable=rm.reliable)
+                context.record_vote(key, VoteInfo(vote, rm.reliable),
+                                    local=True)
                 self._check_votes(context)
 
             rm.prepare(context.txn_id, record,
@@ -214,7 +222,8 @@ class VotingMixin:
         if context.state is not TxnState.PREPARING or \
                 not self.context_live(context):
             return
-        missing = context.expected_votes - set(context.votes)
+        missing = (context.expected_votes - context.votes.keys()
+                   - context.local_votes.keys())
         self.note(context.txn_id, f"vote timeout; missing {sorted(missing)}")
         self._decide(context, "abort")
 
@@ -222,11 +231,11 @@ class VotingMixin:
     # Receiving votes (coordinator side) and delegations
     # ------------------------------------------------------------------
     def on_vote(self: "TMNode", message: Message) -> None:
-        if message.flag("last_agent_delegation"):
+        if message.flags.get("last_agent_delegation"):
             self._on_delegation(message)
             return
         context = self.ctx(message.txn_id)
-        vote = _TYPE_VOTES[message.msg_type]
+        vote = _TYPE_VOTES[message.msg_type._value_]
         if context is None:
             # A stale vote for a transaction we have forgotten (or
             # never knew).  A NO voter aborted itself and needs no
@@ -248,11 +257,11 @@ class VotingMixin:
                           payload={"outcome": outcome},
                           phase=Phase.RECOVERY)
             return
-        info = VoteInfo(vote=vote,
-                        reliable=message.flag("reliable"),
-                        ok_to_leave_out=message.flag("ok_to_leave_out"),
-                        unsolicited=message.flag("unsolicited"))
-        context.votes[message.src] = info
+        flags = message.flags
+        info = VoteInfo(vote, flags.get("reliable", False),
+                        flags.get("ok_to_leave_out", False),
+                        flags.get("unsolicited", False))
+        context.record_vote(message.src, info)
         if info.unsolicited and message.src in context.children_work_pending:
             # An unsolicited vote doubles as the work-done notification.
             context.children_work_pending.discard(message.src)
@@ -323,10 +332,10 @@ class VotingMixin:
     def _check_votes(self: "TMNode", context: CommitContext) -> None:
         if context.state is not TxnState.PREPARING:
             return
-        if context.veto or context.any_no_vote():
+        if context.veto or context.no_votes:
             self._decide(context, "abort")
             return
-        if not context.all_votes_in():
+        if context.votes_missing:
             return
         if context.retry_timer is not None:
             context.retry_timer.cancel()
@@ -335,7 +344,11 @@ class VotingMixin:
         if context.is_decision_maker:
             if context.last_agent_child is not None:
                 self._delegate_to_last_agent(context)
-            elif context.subtree_read_only() and self.config.read_only:
+            elif context.subtree_read_only() and self.config.read_only \
+                    and (context.delegated_from is None
+                         or context.delegator_read_only):
+                # A last agent under a delegator that voted YES owes it
+                # the decision, so it takes the full commit path.
                 self._decide(context, "commit", all_read_only=True)
             else:
                 self._decide(context, "commit")
@@ -365,9 +378,9 @@ class VotingMixin:
             "children": context.yes_children(),
         }
         reliable = context.subtree_reliable() or (
-            not context.yes_children()
+            not payload["children"]
             and all(info.reliable or info.vote is Vote.READ_ONLY
-                    for info in context.votes.values()))
+                    for info in context.all_votes()))
 
         def voted() -> None:
             self.transition(context, TxnState.PREPARED)

@@ -35,8 +35,8 @@ Force-batching contract (group commit):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.log.group_commit import GroupCommitPolicy, IMMEDIATE
 from repro.log.records import LogRecord, LogRecordType
@@ -55,11 +55,10 @@ _OUTCOME_RECORDS = (
 )
 
 
-@dataclass
-class _ForceRequest:
-    lsn: int
-    callback: Optional[Callable[[], None]]
-    requested_at: float = 0.0
+#: A pending force request: (target lsn, on-durable callback or None,
+#: simulated time requested).
+_ForceRequest = Tuple[int, Optional[Callable[[], None]], float]
+_LSN = itemgetter(0)
 
 
 class LogManager:
@@ -111,19 +110,15 @@ class LogManager:
             # Validate before any side effect: a bad call must not leave
             # a record appended, an LSN consumed, or hooks already fired.
             raise ValueError("on_durable callback requires force=True")
-        record = LogRecord(
-            lsn=self._next_lsn,
-            txn_id=txn_id,
-            record_type=record_type,
-            node=self.node_name,
-            forced=force,
-            written_at=self.simulator.now,
-            payload=dict(payload or {}),
-        )
+        # The payload becomes the record's own: callers pass fresh
+        # dictionaries and never touch them again.
+        record = LogRecord(self._next_lsn, txn_id, record_type,
+                           self.node_name, force, self.simulator.now,
+                           {} if payload is None else payload)
         self._next_lsn += 1
         self._buffer.append(record)
         self.metrics.record_log_write(owner or self.node_name,
-                                      record_type.value, force, txn_id)
+                                      record_type._value_, force, txn_id)
         for hook in self.on_write:
             hook(record)
         if force:
@@ -151,8 +146,7 @@ class LogManager:
     def _request_force(self, lsn: int,
                        callback: Optional[Callable[[], None]]) -> None:
         self.force_requests += 1
-        self._pending_forces.append(
-            _ForceRequest(lsn, callback, requested_at=self.simulator.now))
+        self._pending_forces.append((lsn, callback, self.simulator.now))
         if len(self._pending_forces) >= self.group_commit.group_size:
             self._start_io()
         elif self.group_commit.timeout is not None:
@@ -171,7 +165,7 @@ class LogManager:
             self._group_timer.cancel()
             self._group_timer = None
         self._io_in_flight = True
-        flush_lsn = max(req.lsn for req in self._pending_forces)
+        flush_lsn = max(map(_LSN, self._pending_forces))
         self._inflight_lsn = flush_lsn
         satisfied = self._pending_forces
         self._pending_forces = []
@@ -187,24 +181,20 @@ class LogManager:
             # target LSN it covers are hardened by *this* completion —
             # scheduling another physical I/O for them would count an I/O
             # that flushes nothing.
-            piggyback = [r for r in self._pending_forces if r.lsn <= flush_lsn]
+            pending = self._pending_forces
+            piggyback = [r for r in pending if r[0] <= flush_lsn]
             if piggyback:
-                self._pending_forces = [
-                    r for r in self._pending_forces if r.lsn > flush_lsn]
+                self._pending_forces = [r for r in pending
+                                        if r[0] > flush_lsn]
             now = self.simulator.now
-            for request in satisfied:
-                self.metrics.record_force_latency(
-                    self.node_name, now - request.requested_at)
-            for request in piggyback:
-                self.metrics.record_force_latency(
-                    self.node_name, now - request.requested_at)
+            done = satisfied + piggyback if piggyback else satisfied
+            record_latency = self.metrics.record_force_latency
+            for _lsn, _callback, requested_at in done:
+                record_latency(self.node_name, now - requested_at)
             self._flush_to(flush_lsn)
-            for request in satisfied:
-                if request.callback is not None:
-                    request.callback()
-            for request in piggyback:
-                if request.callback is not None:
-                    request.callback()
+            for _lsn, callback, _requested_at in done:
+                if callback is not None:
+                    callback()
             self._restart_pending()
 
         self.simulator.schedule(self.io_latency, complete,
@@ -226,7 +216,7 @@ class LogManager:
         timeout = self.group_commit.timeout
         if timeout is None:
             return  # wait for the group to fill, as requested
-        deadline = min(r.requested_at for r in self._pending_forces) + timeout
+        deadline = min(r[2] for r in self._pending_forces) + timeout
         if deadline <= self.simulator.now:
             self._start_io()
         elif self._group_timer is None or not self._group_timer.active:
@@ -235,8 +225,13 @@ class LogManager:
                 name=f"group-commit-timer:{self.node_name}")
 
     def _flush_to(self, lsn: int) -> None:
-        durable = [r for r in self._buffer if r.lsn <= lsn]
-        self._buffer = [r for r in self._buffer if r.lsn > lsn]
+        # The buffer is in LSN order: what ``lsn`` covers is a prefix.
+        buffer = self._buffer
+        cut = len(buffer)
+        while cut and buffer[cut - 1].lsn > lsn:
+            cut -= 1
+        durable = buffer[:cut]
+        del buffer[:cut]
         self.stable.append(durable)
         if durable:
             for hook in self.on_flush:

@@ -54,9 +54,9 @@ class LogRecordType(Enum):
     LRM_ABORTED = "lrm-aborted"
     LRM_END = "lrm-end"
 
-    @property
-    def is_tm_record(self) -> bool:
-        return not self.value.startswith("lrm-")
+    def __init__(self, value: str) -> None:
+        #: A transaction manager's record (not a resource manager's).
+        self.is_tm_record = not value.startswith("lrm-")
 
 
 #: TM record types that matter for counting against the paper's tables.

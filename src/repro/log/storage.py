@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.log.records import LogRecord, LogRecordType
 from repro.metrics.columns import StringInterner, positions_of
 
-_SCALARS = (str, bool, int, float, type(None))
+_SCALARS = frozenset((str, bool, int, float, type(None)))
 
 
 class _ListValue(tuple):
@@ -33,22 +33,24 @@ def _pack(payload: Dict[str, Any],
     through ``pool``), else a copy of the dict; and whether equal
     payloads may share one packed tuple (ints and floats are left out:
     ``1 == True`` would conflate them)."""
-    values: List[object] = []
+    keys = tuple(payload)
+    packed: List[object] = [pool.setdefault(keys, keys)]
     poolable = True
     for value in payload.values():
         kind = type(value)
         if kind is list:
-            if not all(type(item) in _SCALARS for item in value):
-                return dict(payload), False
-            poolable = poolable and all(type(item) is str for item in value)
+            if value:
+                if not all(type(item) in _SCALARS for item in value):
+                    return dict(payload), False
+                poolable = poolable and all(type(item) is str
+                                            for item in value)
             value = _ListValue(value)
-        elif kind not in _SCALARS:
-            return dict(payload), False
         elif kind is int or kind is float:
             poolable = False
-        values.append(value)
-    keys = tuple(payload)
-    return (pool.setdefault(keys, keys), *values), poolable
+        elif kind not in _SCALARS:
+            return dict(payload), False
+        packed.append(value)
+    return tuple(packed), poolable
 
 
 def _unpack(packed: object) -> Dict[str, Any]:
@@ -71,7 +73,9 @@ class StableStorage:
         self._written_at = array("d")
         self._payload: List[object] = []
         self._txn_ids = StringInterner()
-        self._kinds: Dict[Tuple[str, LogRecordType, bool], int] = {}
+        #: (node, record type value, forced) -> kind id; keyed by the
+        #: type's value, which hashes in C (an Enum member does not).
+        self._kinds: Dict[Tuple[str, str, bool], int] = {}
         self._kind_list: List[Tuple[str, LogRecordType, bool]] = []
         #: Payload key tuples, and packed payloads of protocol
         #: records: one shared copy of each.
@@ -81,21 +85,25 @@ class StableStorage:
         self._store(records)
 
     def _store(self, records: Iterable[LogRecord]) -> None:
+        lsns, kinds, pool = self._lsn, self._kinds, self._pool
+        intern = self._txn_ids.intern
         for record in records:
-            if self._payload and record.lsn <= self.durable_lsn:
+            lsn, record_type = record.lsn, record.record_type
+            if lsns and lsn <= lsns[-1]:
                 raise ValueError(
-                    f"out-of-order append: lsn {record.lsn} after "
+                    f"out-of-order append: lsn {lsn} after "
                     f"{self.durable_lsn}")
-            kind_key = (record.node, record.record_type, record.forced)
-            kind = self._kinds.get(kind_key)
+            kind_key = (record.node, record_type._value_, record.forced)
+            kind = kinds.get(kind_key)
             if kind is None:
-                kind = self._kinds[kind_key] = len(self._kind_list)
-                self._kind_list.append(kind_key)
-            packed, poolable = _pack(record.payload, self._pool)
-            if poolable and record.record_type.is_tm_record:
-                packed = self._pool.setdefault(packed, packed)
-            self._lsn.append(record.lsn)
-            self._txn.append(self._txn_ids.intern(record.txn_id))
+                kind = kinds[kind_key] = len(self._kind_list)
+                self._kind_list.append(
+                    (record.node, record_type, record.forced))
+            packed, poolable = _pack(record.payload, pool)
+            if poolable and record_type.is_tm_record:
+                packed = pool.setdefault(packed, packed)
+            lsns.append(lsn)
+            self._txn.append(intern(record.txn_id))
             self._kind.append(kind)
             self._written_at.append(record.written_at)
             self._payload.append(packed)
@@ -142,7 +150,7 @@ class StableStorage:
 
     def last_position_of(self, record_type: LogRecordType) -> Optional[int]:
         """Position of the newest record of ``record_type``, if any."""
-        return max((position for key, ident in self._kinds.items()
+        return max((position for ident, key in enumerate(self._kind_list)
                     if key[1] is record_type
                     for position in positions_of(self._kind, ident)),
                    default=None)

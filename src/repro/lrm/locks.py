@@ -27,7 +27,7 @@ class LockMode(Enum):
         return self is LockMode.SHARED and other is LockMode.SHARED
 
 
-@dataclass
+@dataclass(slots=True)
 class LockRequest:
     """A pending or granted lock request."""
 
@@ -155,8 +155,12 @@ class LockManager:
     def _grant(self, lock: _KeyLock, request: LockRequest) -> None:
         request.granted = True
         lock.granted.append(request)
-        self._held_by_txn.setdefault(request.txn_id, set()).add(request.key)
-        self._first_acquire_at.setdefault(request.txn_id, self.simulator.now)
+        held = self._held_by_txn.get(request.txn_id)
+        if held is None:
+            self._held_by_txn[request.txn_id] = {request.key}
+            self._first_acquire_at[request.txn_id] = self.simulator.now
+        else:
+            held.add(request.key)
         if self.on_grant:
             for hook in self.on_grant:
                 hook(request.txn_id, request.key, request.mode)
@@ -191,7 +195,8 @@ class LockManager:
             if self.on_release:
                 for hook in self.on_release:
                     hook(txn_id, key)
-            self._wake_waiters(lock)
+            if lock.waiting:
+                self._wake_waiters(lock)
             self._drop_if_empty(key, lock)
 
     def _drop_if_empty(self, key: str, lock: _KeyLock) -> None:

@@ -20,6 +20,12 @@ from repro.metrics.columns import FloatColumn, PairColumn
 from repro.metrics.counters import TaggedCounter
 
 
+def _given(**match: Optional[Hashable]) -> Dict[str, Hashable]:
+    """The query filters actually given (None matches every value)."""
+    return {name: value for name, value in match.items()
+            if value is not None}
+
+
 @dataclass(slots=True)
 class TransactionRecord:
     """Completion record for one transaction at its root coordinator."""
@@ -246,18 +252,10 @@ class MetricsCollector:
     def commit_flows(self, src: Optional[str] = None,
                      txn: Optional[str] = None) -> int:
         """Network flows in the commit phase — the tables' 'flows' column."""
-        match: Dict[str, Hashable] = {"phase": "commit"}
-        if src is not None:
-            match["src"] = src
-        if txn is not None:
-            match["txn"] = txn
-        return self.flows.total(**match)
+        return self.flows.total(**_given(phase="commit", src=src, txn=txn))
 
     def recovery_flows(self, txn: Optional[str] = None) -> int:
-        match: Dict[str, Hashable] = {"phase": "recovery"}
-        if txn is not None:
-            match["txn"] = txn
-        return self.flows.total(**match)
+        return self.flows.total(**_given(phase="recovery", txn=txn))
 
     def data_flows(self) -> int:
         return self.flows.total(phase="data")
@@ -269,31 +267,20 @@ class MetricsCollector:
     def total_log_writes(self, node: Optional[str] = None,
                          txn: Optional[str] = None,
                          include_data: bool = False) -> int:
-        match: Dict[str, Hashable] = {}
-        if node is not None:
-            match["node"] = node
-        if txn is not None:
-            match["txn"] = txn
-        by_type = self.log_writes.group_by("record_type", **match)
-        return sum(count for rtype, count in by_type.items()
-                   if include_data or rtype not in self.DATA_RECORD_TYPES)
+        return self._writes(include_data, node=node, txn=txn)
 
     def forced_log_writes(self, node: Optional[str] = None,
                           txn: Optional[str] = None,
                           include_data: bool = False) -> int:
-        match: Dict[str, Hashable] = {"forced": True}
-        if node is not None:
-            match["node"] = node
-        if txn is not None:
-            match["txn"] = txn
-        by_type = self.log_writes.group_by("record_type", **match)
+        return self._writes(include_data, forced=True, node=node, txn=txn)
+
+    def _writes(self, include_data: bool, **match: Optional[Hashable]) -> int:
+        by_type = self.log_writes.group_by("record_type", **_given(**match))
         return sum(count for rtype, count in by_type.items()
                    if include_data or rtype not in self.DATA_RECORD_TYPES)
 
     def physical_ios(self, node: Optional[str] = None) -> int:
-        if node is not None:
-            return self.log_ios.total(node=node)
-        return self.log_ios.total()
+        return self.log_ios.total(**_given(node=node))
 
     def cost_summary(self, txn: Optional[str] = None) -> CostSummary:
         """The (flows, writes, forced) triple for one txn or the whole run."""
@@ -305,11 +292,8 @@ class MetricsCollector:
 
     def node_costs(self, node: str, txn: Optional[str] = None) -> CostSummary:
         """Per-role cost triple (Table 2 reports coordinator vs subordinate)."""
-        flow_match: Dict[str, Hashable] = {"phase": "commit", "src": node}
-        if txn is not None:
-            flow_match["txn"] = txn
         return CostSummary(
-            flows=self.flows.total(**flow_match),
+            flows=self.commit_flows(src=node, txn=txn),
             log_writes=self.total_log_writes(node=node, txn=txn),
             forced_writes=self.forced_log_writes(node=node, txn=txn),
         )
@@ -325,14 +309,8 @@ class MetricsCollector:
     def recovery_anomaly_count(self, node: Optional[str] = None,
                                kind: Optional[str] = None,
                                detail: Optional[str] = None) -> int:
-        match: Dict[str, Hashable] = {}
-        if node is not None:
-            match["node"] = node
-        if kind is not None:
-            match["kind"] = kind
-        if detail is not None:
-            match["detail"] = detail
-        return self.recovery_anomalies.total(**match)
+        return self.recovery_anomalies.total(
+            **_given(node=node, kind=kind, detail=detail))
 
     def deadlock_count(self) -> int:
         return len(self.deadlocks)

@@ -5,7 +5,7 @@ boxed objects — one heap allocation (and one GC-tracked object) per
 trace event, lock-hold sample or cost entry.  On a saturation run that
 is millions of allocations that exist only to be folded into a
 histogram or scanned once by a report.  This module provides the
-columnar fast path: homogeneous fields live in preallocated
+columnar fast path: homogeneous fields live in
 ``array``-module typed buffers (8 bytes per float instead of a 24-byte
 float object plus list slot), and repeated strings — node names,
 message types, record types — are interned to small integers once.
@@ -28,9 +28,6 @@ from __future__ import annotations
 
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-#: Initial element capacity of a typed buffer; doubles on overflow.
-_INITIAL_CAPACITY = 256
 
 
 def positions_of(column: array, value) -> List[int]:
@@ -82,53 +79,38 @@ class StringInterner:
 
 
 class _TypedColumn:
-    """Growable typed buffer: preallocated array, doubling growth."""
+    """Growable typed buffer: an ``array``, appended to in C.
 
-    __slots__ = ("_buf", "_len")
+    ``append`` is the buffer's own bound method, stored on the column,
+    so recording a sample never enters a Python frame.
+    """
+
+    __slots__ = ("_buf", "append")
 
     _typecode = "d"
-    _zero: object = 0.0
 
     def __init__(self, values: Iterable = ()) -> None:
-        self._buf = array(self._typecode,
-                          [self._zero]) * _INITIAL_CAPACITY
-        self._len = 0
-        for value in values:
-            self.append(value)
+        self._buf = array(self._typecode, values)
+        self.append = self._buf.append
 
-    def append(self, value) -> None:
-        n = self._len
-        buf = self._buf
-        if n == len(buf):
-            buf.extend(buf)     # double capacity in one C-level copy
-        buf[n] = value
-        self._len = n + 1
+    def __reduce__(self):
+        return type(self), (self._buf,)
 
     def extend(self, values: Iterable) -> None:
-        for value in values:
-            self.append(value)
+        self._buf.extend(values)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._buf)
 
     def __bool__(self) -> bool:
-        return self._len > 0
+        return len(self._buf) > 0
 
     def __iter__(self) -> Iterator:
-        buf = self._buf
-        for index in range(self._len):
-            yield buf[index]
+        return iter(self._buf)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            start, stop, step = index.indices(self._len)
-            clone = type(self)()
-            clone.extend(self._buf[start:stop:step])
-            return clone
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError("column index out of range")
+            return type(self)(self._buf[index])
         return self._buf[index]
 
     def __eq__(self, other) -> bool:
@@ -138,10 +120,10 @@ class _TypedColumn:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} n={self._len}>"
+        return f"<{type(self).__name__} n={len(self._buf)}>"
 
     def to_list(self) -> list:
-        return self._buf[:self._len].tolist()
+        return self._buf.tolist()
 
 
 class FloatColumn(_TypedColumn):
@@ -149,7 +131,6 @@ class FloatColumn(_TypedColumn):
 
     __slots__ = ()
     _typecode = "d"
-    _zero = 0.0
 
 
 class IntColumn(_TypedColumn):
@@ -157,7 +138,6 @@ class IntColumn(_TypedColumn):
 
     __slots__ = ()
     _typecode = "q"
-    _zero = 0
 
 
 class PairColumn:

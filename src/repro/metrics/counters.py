@@ -26,9 +26,10 @@ class TaggedCounter:
     the process runs, so counts are kept by the *other* tags (a handful
     of combinations, however long the run) and each value of the
     partition dimension keeps only a small array of (tag-combination
-    id, count) pairs.  Queries that do not name the partition dimension
-    never touch the arrays; an :meth:`add` costs the same however many
-    events came before it.
+    id, count) pairs, the id stored as ``~id`` (negative) so one C scan
+    of the array finds it among the (positive) counts.  Queries that do
+    not name the partition dimension never touch the arrays; an
+    :meth:`add` costs the same however many events came before it.
     """
 
     def __init__(self, dimensions: Tuple[str, ...],
@@ -39,13 +40,14 @@ class TaggedCounter:
         self.partition = partition
         self._axis: Optional[int] = (
             None if partition is None else dimensions.index(partition))
-        #: Counts by every tag but the partition dimension's.
-        self._counts: Dict[Key, int] = {}
-        #: Partition value -> flat uint32 (tag-combination id, count)
-        #: pairs of its events.
-        self._members: Dict[Hashable, array] = {}
+        #: Every tag but the partition dimension's -> tag-combination
+        #: id, indexing ``_tags`` and ``_totals``.
         self._tag_ids: Dict[Key, int] = {}
         self._tags: List[Key] = []
+        self._totals: List[int] = []
+        #: Partition value -> flat int32 (~tag-combination id, count)
+        #: pairs of its events.
+        self._members: Dict[Hashable, array] = {}
         #: Distinct full keys recorded so far.
         self._pairs = 0
 
@@ -60,24 +62,25 @@ class TaggedCounter:
             raise ValueError(f"count must be positive, got {count}")
         axis = self._axis
         tags = key if axis is None else key[:axis] + key[axis + 1:]
-        seen = self._counts.get(tags, 0)
-        self._counts[tags] = seen + count
-        if axis is None:
-            if not seen:
-                self._pairs += 1
-            return
         tag_id = self._tag_ids.get(tags)
         if tag_id is None:
             tag_id = self._tag_ids[tags] = len(self._tags)
             self._tags.append(tags)
+            self._totals.append(0)
+            if axis is None:
+                self._pairs += 1
+        self._totals[tag_id] += count
+        if axis is None:
+            return
+        mark = ~tag_id
         pairs = self._members.get(key[axis])
         if pairs is None:
-            pairs = self._members[key[axis]] = array("I")
-        ids = pairs[::2]
-        if tag_id in ids:
-            pairs[2 * ids.index(tag_id) + 1] += count
+            self._members[key[axis]] = array("i", (mark, count))
+            self._pairs += 1
+        elif mark in pairs:
+            pairs[pairs.index(mark) + 1] += count
         else:
-            pairs.extend((tag_id, count))
+            pairs.extend((mark, count))
             self._pairs += 1
 
     def _key(self, tags: Key, member: Hashable = None) -> Key:
@@ -109,14 +112,15 @@ class TaggedCounter:
             rows = self
         else:
             rows = ((self._key(tags), count)
-                    for tags, count in self._counts.items())
+                    for tags, count in zip(self._tags, self._totals))
         return [(key, count) for key, count in rows
                 if all(key[pos] == value for pos, value in positions.items())]
 
     def _member_rows(self, member: Hashable) -> Iterator[Tuple[Key, int]]:
         pairs = self._members.get(member, ())
         for index in range(0, len(pairs), 2):
-            yield self._key(self._tags[pairs[index]], member), pairs[index + 1]
+            yield (self._key(self._tags[~pairs[index]], member),
+                   pairs[index + 1])
 
     def total(self, **match: Hashable) -> int:
         """Sum counts whose tags match every given dimension value."""
@@ -147,7 +151,7 @@ class TaggedCounter:
 
     def __iter__(self) -> Iterator[Tuple[Key, int]]:
         if self._axis is None:
-            return iter(self._counts.items())
+            return zip(self._tags, self._totals)
         return (row for member in self._members
                 for row in self._member_rows(member))
 

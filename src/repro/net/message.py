@@ -46,14 +46,14 @@ class MessageType(Enum):
     OUTCOME = "outcome"            # coordinator-driven resolution / reply
     RECOVERY_ACK = "recovery-ack"  # closes a coordinator-driven recovery
 
-    @property
-    def default_phase(self) -> Phase:
-        if self is MessageType.DATA:
-            return Phase.DATA
-        if self in (MessageType.INQUIRE, MessageType.OUTCOME,
-                    MessageType.RECOVERY_ACK):
-            return Phase.RECOVERY
-        return Phase.COMMIT
+    def __init__(self, value: str) -> None:
+        #: The bucket a flow of this type is counted under unless the
+        #: sender names one.
+        self.default_phase = (
+            Phase.DATA if value == "data"
+            else Phase.RECOVERY if value in ("inquire", "outcome",
+                                             "recovery-ack")
+            else Phase.COMMIT)
 
 
 _MSG_SEQ = itertools.count(1)
@@ -81,7 +81,7 @@ class Message:
     phase: Optional[Phase] = None
     flags: Dict[str, Any] = field(default_factory=dict)
     payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_MSG_SEQ))
+    msg_id: int = field(default_factory=_MSG_SEQ.__next__)
 
     def __post_init__(self) -> None:
         if self.phase is None:

@@ -18,7 +18,8 @@ the historical one, so existing runs stay bit-identical.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.net.latency import ConstantLatency, LatencyModel
@@ -26,17 +27,23 @@ from repro.net.message import Message
 from repro.sim.kernel import Simulator
 
 
-class DeliveryName(NamedTuple):
-    """A delivery event's name, ``deliver:<message.describe()>``, made
-    only when read (kernel-events journal, profiler, error message)."""
+class Delivery(partial):
+    """One flow in flight, as one object: called, it hands its message
+    to the network's ``_deliver``; as the event's name it reads
+    ``deliver:<message.describe()>``, made only when read
+    (kernel-events journal, profiler, error message)."""
 
-    message: Message
+    __slots__ = ()
 
     def __str__(self) -> str:
-        return f"deliver:{self.message.describe()}"
+        return f"deliver:{self.args[0].describe()}"
 
     def __repr__(self) -> str:
         return repr(str(self))
+
+
+#: The undisturbed delivery plan: one arrival, no extra delay, in order.
+_IN_ORDER = ((0.0, True),)
 
 
 class NetworkError(RuntimeError):
@@ -153,26 +160,29 @@ class Network:
         or not a failure later loses them).  Messages dropped by the
         injected drop-filter *before* transmission are not counted.
         """
-        self._require(message.src)
-        self._require(message.dst)
+        src, dst = message.src, message.dst
+        if src not in self._handlers or dst not in self._handlers:
+            self._require(src)
+            self._require(dst)
 
         if self._drop_filter is not None and self._drop_filter(message):
-            self.metrics.record_drop("injected", message.msg_type.value,
-                                     message.src)
+            self.metrics.record_drop("injected", message.msg_type._value_,
+                                     src)
             return False
 
         self.sent += 1
-        self.metrics.record_flow(message.phase.value, message.msg_type.value,
-                                 message.src, message.txn_id)
+        self.metrics.record_flow(message.phase._value_,
+                                 message.msg_type._value_, src,
+                                 message.txn_id)
         for hook in self.on_send:
             hook(message)
 
-        if self.is_partitioned(message.src, message.dst):
-            self.metrics.record_drop("partition", message.msg_type.value,
-                                     message.src)
+        if self._partitioned and self.is_partitioned(src, dst):
+            self.metrics.record_drop("partition", message.msg_type._value_,
+                                     src)
             return False
 
-        delay = self.latency_model.latency(message.src, message.dst, self._rng)
+        delay = self.latency_model.latency(src, dst, self._rng)
         self._transmit(message, delay)
         if self.on_transmit:
             for hook in self.on_transmit:
@@ -189,41 +199,32 @@ class Network:
         Everything before this point (flow accounting, drop filters,
         partitions, hooks) is transport-independent.
         """
-        plans = (self.adversary.plan(message, delay)
-                 if self.adversary is not None else None)
-        if plans is None:
-            arrival = self.simulator.now + delay
-            if self.fifo:
-                link = (message.src, message.dst)
+        # Each plan is one scheduled arrival; an adversary may rewrite
+        # the default single in-order one.  FIFO-respecting plans take
+        # (and advance) the link clamp; non-FIFO plans bypass it, which
+        # is how reordering and stale delivery violate the session
+        # guarantee on purpose.
+        plans = (None if self.adversary is None
+                 else self.adversary.plan(message, delay))
+        link = (message.src, message.dst)
+        for extra, in_order in _IN_ORDER if plans is None else plans:
+            arrival = self.simulator.now + delay + extra
+            if in_order and self.fifo:
                 arrival = max(arrival, self._last_delivery.get(link, 0.0))
                 self._last_delivery[link] = arrival
-            self.simulator.at(arrival, lambda: self._deliver(message),
-                              name=DeliveryName(message))
-        else:
-            # An adversary rewrote this delivery: each plan is one
-            # scheduled arrival.  FIFO-respecting plans take (and
-            # advance) the link clamp; non-FIFO plans bypass it, which
-            # is how reordering and stale delivery violate the session
-            # guarantee on purpose.
-            link = (message.src, message.dst)
-            for extra, in_order in plans:
-                arrival = self.simulator.now + delay + extra
-                if in_order and self.fifo:
-                    arrival = max(arrival, self._last_delivery.get(link, 0.0))
-                    self._last_delivery[link] = arrival
-                self.simulator.at(arrival,
-                                  lambda m=message: self._deliver(m),
-                                  name=DeliveryName(message))
+            delivery = Delivery(self._deliver, message)
+            self.simulator.at(arrival, delivery, name=delivery)
 
     def _deliver(self, message: Message) -> None:
         # Re-check the partition at delivery time: a partition that forms
         # while the message is in flight loses it, matching real links.
-        if self.is_partitioned(message.src, message.dst):
-            self.metrics.record_drop("partition", message.msg_type.value,
+        if self._partitioned and self.is_partitioned(message.src,
+                                                     message.dst):
+            self.metrics.record_drop("partition", message.msg_type._value_,
                                      message.src)
             return
         if not self._alive[message.dst]():
-            self.metrics.record_drop("crashed", message.msg_type.value,
+            self.metrics.record_drop("crashed", message.msg_type._value_,
                                      message.src)
             return
         self.delivered += 1

@@ -237,7 +237,7 @@ class WheelEventQueue:
 
     def _place_far(self, ev: Event) -> None:
         """Wheel/overflow placement for a pre-built event beyond the
-        horizon.  The kernel's fused ``schedule`` calls this on its
+        horizon.  The kernel's fused ``at`` calls this on its
         slow path; ``push`` inlines the same logic."""
         try:
             day = int(ev.time * _DAY_INV)

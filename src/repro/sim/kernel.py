@@ -10,19 +10,19 @@ layers above.  It offers:
   event-count safety valve so a protocol bug cannot spin forever;
 * trace hooks used by :mod:`repro.trace` to build sequence diagrams.
 
-The run loops come in two flavours.  The *batched* loops are the
-wheel queue's privileged client: they hold the current sorted run in
-locals and consume a whole virtual instant (one promoted bucket) per
-queue interaction, instead of paying a ``peek_time``/``pop`` method
-pair per event; ``schedule`` likewise inlines the wheel's near-set
-push.  The *generic* loops drive any queue through the public
-``pop``/``peek_time`` contract; they serve the heap queue (differential
-runs), event hooks, and the profiler.  Both flavours fire events in
-exactly the same order — ``tests/test_scheduler_differential.py``
-replays full protocol workloads across the matrix and asserts
-bit-identical results.
+The run loops come in two flavours.  The *batched* loop (``_drain``,
+behind both ``run`` and ``run_until``) is the wheel queue's privileged
+client: it holds the current sorted run in locals and consumes a whole
+virtual instant (one promoted bucket) per queue interaction, instead
+of paying a ``peek_time``/``pop`` method pair per event; ``at`` likewise
+inlines the wheel's near-set push.  The *generic* loops drive any queue
+through the public ``pop``/``peek_time`` contract; they serve the heap
+queue (differential runs), event hooks, and the profiler.  Both
+flavours fire events in exactly the same order —
+``tests/test_scheduler_differential.py`` replays full protocol
+workloads across the matrix and asserts bit-identical results.
 
-Counter staleness: the batched loops accumulate ``events_processed``
+Counter staleness: the batched loop accumulates ``events_processed``
 and the queue's done-count in locals, flushing on every bucket
 promotion and on exit.  An event action that inspects
 ``simulator.pending_events`` mid-instant may therefore see a value at
@@ -32,6 +32,7 @@ most one bucket stale; all quiescent reads are exact.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf as _FOREVER
 from time import perf_counter
 from typing import Callable, List, Optional, Type
 
@@ -143,7 +144,7 @@ class Simulator:
         cls = queue_class or Simulator.default_queue_class or EventQueue
         self._queue = cls()
         #: The queue again when it is the wheel whose internals the
-        #: batched loops (and the fused ``schedule``) may touch
+        #: batched loop (and the fused ``at``) may touch
         #: directly; None otherwise.  One attribute load answers both
         #: "is it fast" and "which queue".
         self._wheel = self._queue if type(self._queue) is WheelEventQueue \
@@ -152,10 +153,11 @@ class Simulator:
         self._event_hooks: List[Callable[[Event], None]] = []
         self._profiler = Simulator.default_profiler
         self.events_processed = 0
-        # Pre-bind the hottest method into the instance dict: callers
+        # Pre-bind the hottest methods into the instance dict: callers
         # hitting ``sim.schedule`` then reuse one bound method instead
         # of binding the class descriptor on every call.
         self.schedule = self.schedule
+        self.at = self.at
 
     # ------------------------------------------------------------------
     # Random streams
@@ -172,14 +174,22 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        return self.at(self.now + delay, action, name, priority)
+
+    def at(self, time: float, action: Callable[[], None],
+           name: str = "", priority: int = 0) -> Event:
+        """Schedule ``action`` at absolute virtual ``time``."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time}, clock already at {self.now}")
         queue = self._wheel
-        time = self.now + delay
         if queue is None:
             return self._queue.push(time, action, name=name,
                                     priority=priority)
         # Fused wheel push: the near-set placement is the steady state
-        # for timers rescheduled within the current day, and inlining
-        # it here saves a method call on the hottest kernel edge.
+        # for deliveries and timers within the current day, and
+        # inlining it here saves a method call on the hottest kernel
+        # edge.
         ev = _new_event(Event)
         ev.time = time
         ev.priority = priority
@@ -203,14 +213,6 @@ class Simulator:
             return ev
         queue._place_far(ev)
         return ev
-
-    def at(self, time: float, action: Callable[[], None],
-           name: str = "", priority: int = 0) -> Event:
-        """Schedule ``action`` at absolute virtual ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time}, clock already at {self.now}")
-        return self._queue.push(time, action, name=name, priority=priority)
 
     def call_soon(self, action: Callable[[], None], name: str = "") -> Event:
         """Schedule ``action`` at the current instant (after pending events)."""
@@ -281,106 +283,13 @@ class Simulator:
         return True
 
     def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the event queue drains.
-
-        This is the kernel's hottest loop; on the wheel queue it holds
-        the current sorted run in locals and batches counter updates,
-        so a million-event run pays one queue interaction per promoted
-        bucket rather than two method calls per event.
-        """
+        """Run until the event queue drains."""
         limit = max_events if max_events is not None else self.DEFAULT_MAX_EVENTS
-        queue = self._wheel
-        if (queue is None or self._event_hooks
+        if (self._wheel is None or self._event_hooks
                 or self._profiler is not None):
             return self._run_generic(limit)
-        advance = queue._advance
-        nearheap = queue._nearheap
-        fired_state = _FIRED
-        fired = 0
-        dead = 0
-        run = queue._run
-        ri = queue._ri
-        n = len(run)
-        try:
-            while True:
-                if ri < n:
-                    entry = run[ri]
-                    ev = entry[3]
-                    if ev._state is queue:
-                        time = entry[0]
-                        near1 = queue._near1
-                        if near1 is not None and (near1.time < time or
-                                (near1.time == time
-                                 and near1.priority < entry[1])):
-                            queue._near1 = \
-                                heappop(nearheap)[3] if nearheap else None
-                            if near1._state is not queue:  # cancelled near
-                                dead += 1
-                                continue
-                            ev = near1
-                            time = near1.time
-                        else:
-                            ri += 1
-                        if time < self.now:
-                            raise SimulationError(
-                                f"event {ev.name!r} is in the past "
-                                f"({time} < {self.now})")
-                        ev._state = fired_state
-                        self.now = time
-                        try:
-                            ev.action()
-                        except EventInterrupt as interrupt:
-                            interrupt.apply()
-                        fired += 1
-                        if fired >= limit:
-                            raise SimulationError(
-                                f"run() exceeded {limit} events — likely a "
-                                f"protocol livelock (clock at {self.now})")
-                        continue
-                    ri += 1
-                    dead += 1
-                    continue
-                near1 = queue._near1
-                if near1 is not None:
-                    queue._near1 = heappop(nearheap)[3] if nearheap else None
-                    ev = near1
-                    if ev._state is not queue:          # cancelled near event
-                        dead += 1
-                        continue
-                    time = ev.time
-                    if time < self.now:
-                        raise SimulationError(
-                            f"event {ev.name!r} is in the past "
-                            f"({time} < {self.now})")
-                    ev._state = fired_state
-                    self.now = time
-                    try:
-                        ev.action()
-                    except EventInterrupt as interrupt:
-                        interrupt.apply()
-                    fired += 1
-                    if fired >= limit:
-                        raise SimulationError(
-                            f"run() exceeded {limit} events — likely a "
-                            f"protocol livelock (clock at {self.now})")
-                    continue
-                queue._ri = ri
-                queue._done += fired
-                queue._dead -= dead
-                self.events_processed += fired
-                limit -= fired
-                fired = 0
-                dead = 0
-                if not advance():
-                    return
-                run = queue._run
-                ri = queue._ri
-                n = len(run)
-        finally:
-            queue._ri = ri
-            queue._done += fired
-            queue._dead -= dead
-            self.events_processed += fired
+        self._drain(_FOREVER, limit, "run() exceeded {} events — likely a "
+                                     "protocol livelock (clock at {})")
 
     def _run_generic(self, limit: int) -> None:
         """Drain loop through the public queue contract (any queue,
@@ -426,11 +335,25 @@ class Simulator:
             raise SimulationError(
                 f"run_until({time}) but clock already at {self.now}")
         limit = max_events if max_events is not None else self.DEFAULT_MAX_EVENTS
-        queue = self._wheel
-        if (queue is None or self._event_hooks
+        if (self._wheel is None or self._event_hooks
                 or self._profiler is not None):
             return self._run_until_generic(time, limit)
-        until = time
+        self._drain(time, limit, "run_until() exceeded {} events "
+                                 "(clock at {})")
+        if time > self.now:
+            self.now = time
+
+    def _drain(self, until: float, limit: int, overrun: str) -> None:
+        """Fire the wheel's events up to ``until`` (``run`` passes
+        infinity).
+
+        This is the kernel's hottest loop: it holds the current sorted
+        run in locals and batches counter updates, so a million-event
+        run pays one queue interaction per promoted bucket rather than
+        two method calls per event.  ``overrun`` formats the error for
+        more than ``limit`` events.
+        """
+        queue = self._wheel
         advance = queue._advance
         nearheap = queue._nearheap
         fired_state = _FIRED
@@ -478,8 +401,7 @@ class Simulator:
                         fired += 1
                         if fired >= limit:
                             raise SimulationError(
-                                f"run_until() exceeded {limit} events "
-                                f"(clock at {self.now})")
+                                overrun.format(limit, self.now))
                         continue
                     ri += 1
                     dead += 1
@@ -509,8 +431,7 @@ class Simulator:
                     fired += 1
                     if fired >= limit:
                         raise SimulationError(
-                            f"run_until() exceeded {limit} events "
-                            f"(clock at {self.now})")
+                            overrun.format(limit, self.now))
                     continue
                 queue._ri = ri
                 queue._done += fired
@@ -529,8 +450,6 @@ class Simulator:
             queue._done += fired
             queue._dead -= dead
             self.events_processed += fired
-        if until > self.now:
-            self.now = until
 
     def _run_until_generic(self, time: float, limit: int) -> None:
         fired = 0

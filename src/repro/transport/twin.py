@@ -34,7 +34,7 @@ from repro.core.config import (BASIC_2PC, PRESUMED_ABORT, PRESUMED_COMMIT,
                                PRESUMED_NOTHING, ProtocolConfig)
 from repro.core.spec import TransactionSpec
 from repro.net.message import Message
-from repro.net.network import DeliveryName, Network
+from repro.net.network import Delivery, Network
 from repro.obs.diff import Divergence, diff_journals
 from repro.obs.journal import JournalEntry, JournalRecorder
 from repro.obs.registry import MetricsRegistry
@@ -120,8 +120,8 @@ class ScheduledNetwork(Network):
             # A replay running ahead of the recorded timeline is itself
             # a divergence; deliver now and let the diff localize it.
             arrival = self.simulator.now
-        self.simulator.at(arrival, lambda: self._deliver(message),
-                          name=DeliveryName(message))
+        delivery = Delivery(self._deliver, message)
+        self.simulator.at(arrival, delivery, name=delivery)
 
 
 @dataclass

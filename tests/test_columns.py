@@ -1,5 +1,8 @@
 """Unit tests for the columnar observability storage layer."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.metrics.columns import (
@@ -46,6 +49,14 @@ class TestTypedColumns:
 
     def test_to_list(self):
         assert FloatColumn([0.5, 1.5]).to_list() == [0.5, 1.5]
+
+    def test_copies_append_to_their_own_buffer(self):
+        column = FloatColumn([0.5])
+        for clone in (copy.copy(column), copy.deepcopy(column),
+                      pickle.loads(pickle.dumps(column))):
+            clone.append(1.5)
+            assert clone == [0.5, 1.5]
+        assert column == [0.5]
 
 
 class TestStringInterner:

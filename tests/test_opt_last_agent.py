@@ -222,3 +222,23 @@ def test_pn_last_agent_keeps_commit_pending():
         "record_type", node="coord", txn=spec.txn_id)
     assert types.get("commit-pending") == 1
     assert types.get("prepared") == 1
+
+
+@pytest.mark.parametrize("config", [PRESUMED_ABORT, PRESUMED_NOTHING],
+                         ids=["pa", "pn"])
+def test_read_only_last_agent_under_updating_delegator_commits(config):
+    """The delegator voted YES and waits, prepared, for the decision; a
+    last agent whose own subtree is all read-only still owes it one.
+    It forces COMMITTED and sends COMMIT rather than finishing as a
+    read-only commit that tells nobody."""
+    cluster = last_agent_cluster(config)
+    spec = TransactionSpec(txn_id="t", participants=[
+        ParticipantSpec(node="coord", ops=[write_op("x", 1)]),
+        ParticipantSpec(node="agent", parent="coord", ops=[read_op("y")],
+                        last_agent=True)])
+    handle = cluster.run_transaction(spec)
+    assert handle.outcome == "commit"
+    assert cluster.durable_outcome("agent", "t") == "commit"
+    assert cluster.value("coord", "x") == 1
+    cluster.finalize_implied_acks()
+    assert all(not node.contexts for node in cluster.nodes.values())

@@ -4,8 +4,9 @@ timing (early vs late), and group commit system effects."""
 import pytest
 
 from repro.core.cluster import Cluster
-from repro.core.config import PRESUMED_ABORT, PRESUMED_NOTHING
-from repro.core.spec import ParticipantSpec, TransactionSpec
+from repro.core.config import (BASIC_2PC, PRESUMED_ABORT, PRESUMED_COMMIT,
+                               PRESUMED_NOTHING)
+from repro.core.spec import ParticipantSpec, TransactionSpec, flat_tree
 from repro.log.group_commit import GroupCommitPolicy
 from repro.lrm.operations import write_op
 from repro.net.message import MessageType
@@ -58,6 +59,31 @@ class TestTwoInitiators:
         cluster.run_until(100.0)
         assert any(v.src == "q" and v.dst == "p" for v in no_votes) or \
             any(v.src == "p" and v.dst == "q" for v in no_votes)
+
+
+class TestRotatingRoots:
+    """Once every node has been a root, each has a session with every
+    other.  A subordinate must not sweep in a sibling the spec places
+    under another parent: the two would prepare each other and each
+    wait for the other's vote, and the transaction never finishes."""
+
+    @pytest.mark.parametrize("config", [BASIC_2PC, PRESUMED_ABORT,
+                                        PRESUMED_NOTHING, PRESUMED_COMMIT],
+                             ids=["basic", "pa", "pn", "pc"])
+    def test_failure_free_rotating_roots_all_commit(self, config):
+        nodes = ["n0", "n1", "n2"]
+        cluster = Cluster(config, nodes=nodes)
+        outcomes = []
+        for index in range(6):
+            root = nodes[index % 3]
+            spec = flat_tree(root, [n for n in nodes if n != root],
+                             txn_id=f"t{index}")
+            for participant in spec.participants:
+                participant.ops.append(
+                    write_op(f"{participant.node}-t{index}", index))
+            outcomes.append(cluster.run_transaction(spec).outcome)
+        assert outcomes == ["commit"] * 6
+        assert all(not node.contexts for node in cluster.nodes.values())
 
 
 class TestAckTiming:
