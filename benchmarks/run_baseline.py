@@ -37,6 +37,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -437,6 +438,15 @@ def run_retention_gate() -> int:
     return failures + len(problems)
 
 
+def timed(name, gate, *args):
+    """Run one gate and print its wall seconds, pass or fail."""
+    started = time.perf_counter()
+    try:
+        return gate(*args)
+    finally:
+        print(f"[{name}: {time.perf_counter() - started:.1f} s wall]")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
@@ -494,55 +504,55 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.retention:
-        return 1 if run_retention_gate() else 0
-    if not args.skip_tests and not run_tier1():
+        return 1 if timed("retention", run_retention_gate) else 0
+    if not args.skip_tests and not timed("tier-1", run_tier1):
         print("tier-1 suite failed", file=sys.stderr)
         return 1
     if args.torture:
-        status = run_torture_matrix()
+        status = timed("torture", run_torture_matrix)
         if status:
             print("torture matrix found failing sites", file=sys.stderr)
             return status
     if args.audit:
-        status = run_audit_gate()
+        status = timed("audit", run_audit_gate)
         if status:
             print("conformance audit gate failed", file=sys.stderr)
             return status
     if args.chaos:
-        status = run_chaos_gate()
+        status = timed("chaos", run_chaos_gate)
         if status:
             print("chaos campaign found failing schedules",
                   file=sys.stderr)
             return status
     if args.journal:
-        status = run_journal_gate()
+        status = timed("journal", run_journal_gate)
         if status:
             print("journal self-check found divergent replays",
                   file=sys.stderr)
             return status
     if args.twin:
-        status = run_twin_gate()
+        status = timed("twin", run_twin_gate)
         if status:
             print("deployment twin diverged from its sim replay",
                   file=sys.stderr)
             return status
     if args.live_torture:
-        status = run_live_torture_gate()
+        status = timed("live-torture", run_live_torture_gate)
         if status:
             print("live torture sweep left unrecovered cells",
                   file=sys.stderr)
             return status
     if args.update:
-        return update_baseline()
-    if args.skip_tests and run_retention_gate():
+        return timed("update", update_baseline)
+    if args.skip_tests and timed("retention", run_retention_gate):
         print("retention gate failed: finished transactions leave "
               "state behind", file=sys.stderr)
         return 1
     if args.scale:
-        status = check_scale_baseline(args.tolerance)
+        status = timed("scale", check_scale_baseline, args.tolerance)
         if status:
             return status
-    return check_baseline(args.tolerance)
+    return timed("kernel/obs baseline", check_baseline, args.tolerance)
 
 
 if __name__ == "__main__":

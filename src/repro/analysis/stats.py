@@ -1,17 +1,15 @@
 """Small statistics helpers for the Monte-Carlo studies.
 
 Plain-Python implementations (mean, standard deviation, normal-theory
-and bootstrap confidence intervals) so the benchmark reports can state
-uncertainty, not just point estimates.
+confidence intervals) so the benchmark reports can state uncertainty,
+not just point estimates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
-
-from repro.sim.randomness import RandomStream
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -52,26 +50,3 @@ def normal_ci(values: Sequence[float], z: float = 1.96) -> Summary:
     half = z * spread / math.sqrt(len(values))
     return Summary(mean=centre, stddev=spread, low=centre - half,
                    high=centre + half, n=len(values))
-
-
-def bootstrap_ci(values: Sequence[float], rng: RandomStream,
-                 resamples: int = 1000,
-                 confidence: float = 0.95) -> Summary:
-    """Percentile-bootstrap CI around the mean."""
-    if not values:
-        raise ValueError("CI of empty sequence")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1): {confidence}")
-    values = list(values)
-    means: List[float] = []
-    for __ in range(resamples):
-        sample = [values[rng.randint(0, len(values) - 1)]
-                  for __ in values]
-        means.append(mean(sample))
-    means.sort()
-    alpha = (1.0 - confidence) / 2.0
-    low_index = int(alpha * resamples)
-    high_index = min(resamples - 1, int((1.0 - alpha) * resamples))
-    return Summary(mean=mean(values), stddev=stddev(values),
-                   low=means[low_index], high=means[high_index],
-                   n=len(values))

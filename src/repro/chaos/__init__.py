@@ -1,8 +1,8 @@
 """Adversarial network chaos: seeded adversaries, campaigns, shrinking.
 
-See :mod:`repro.chaos.adversaries` for the adversary catalog,
-:mod:`repro.chaos.campaign` for the sweep harness and shrinker, and
-:mod:`repro.chaos.artifact` for the replayable failure format.
+See :mod:`repro.chaos.adversaries` for the adversary catalog and
+:mod:`repro.chaos.campaign` for the schedule source and shrinker; the
+sweep, verdict and artifact format are :mod:`repro.faults.campaign`'s.
 """
 
 from repro.chaos.adversaries import (
@@ -12,18 +12,8 @@ from repro.chaos.adversaries import (
     generate_schedule,
     validate_action,
 )
-from repro.chaos.artifact import (
-    build_chaos_artifact,
-    chaos_artifact_filename,
-    load_chaos_artifact,
-    save_chaos_artifact,
-)
 from repro.chaos.campaign import (
     CHAOS_VARIANTS,
-    ChaosCellResult,
-    ChaosReport,
-    ChaosRun,
-    chaos_seed,
     chaos_spec,
     replay_chaos_artifact,
     run_chaos_campaign,
@@ -35,22 +25,14 @@ from repro.chaos.campaign import (
 __all__ = [
     "ACTION_KINDS",
     "CHAOS_VARIANTS",
-    "ChaosCellResult",
     "ChaosEngine",
-    "ChaosReport",
-    "ChaosRun",
     "ChaosSchedule",
-    "build_chaos_artifact",
-    "chaos_artifact_filename",
-    "chaos_seed",
     "chaos_spec",
     "generate_schedule",
-    "load_chaos_artifact",
     "replay_chaos_artifact",
     "run_chaos_campaign",
     "run_chaos_cell",
     "run_chaos_schedule",
-    "save_chaos_artifact",
     "shrink_schedule",
     "validate_action",
 ]

@@ -2,30 +2,20 @@
 
 For every cell (presumption config x optimization variant) the
 campaign runs N seeded chaos schedules against the cell's fixed
-four-node workload.  Every run is judged the same way the torture
-matrix judges a crash replay:
+four-node workload, and each run gets the campaign's one verdict
+(:func:`repro.faults.campaign.judge`) — the same one every torture
+replay and fuzz run gets.
 
-* :class:`ProtocolChecker` rules R1-R7 must hold;
-* rule RL (rebuilt in-doubt locks) is checked for every node;
-* the durable outcomes of all participants must agree;
-* decision application must be durably idempotent — no node's stable
-  log may hold two COMMITTED (or two ABORTED) records for one
-  transaction ("RI" in violation texts);
-* the run must quiesce and the root's commit operation must complete.
-
-Cells are independent simulations sharded over
-:mod:`repro.parallel.pool`; serial and parallel sweeps are
-bit-identical.  A failing schedule is **shrunk** — greedy
-adversary-kind removal, then event bisection, then single-action
-removal, each candidate re-run to confirm the failure persists — and
-written as a minimal replayable JSON artifact (see
-:mod:`repro.chaos.artifact`) consumed by ``repro-2pc chaos --replay``.
+The grid, runner, verdict, sweep and artifacts are
+:mod:`repro.faults.campaign`'s; this module is chaos's fault source.
+A failing schedule is **shrunk** — greedy adversary-kind removal, then
+event bisection, then single-action removal, each candidate re-run to
+confirm the failure persists — and written as a minimal replayable
+JSON artifact consumed by ``repro-2pc chaos --replay``.
 """
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.adversaries import (
@@ -34,22 +24,20 @@ from repro.chaos.adversaries import (
     ChaosSchedule,
     generate_schedule,
 )
-from repro.chaos.artifact import build_chaos_artifact, save_chaos_artifact
 from repro.core.cluster import Cluster
 from repro.core.spec import ParticipantSpec, TransactionSpec
-from repro.log.records import LogRecordType
+from repro.faults.campaign import (
+    Cell,
+    Report,
+    Run,
+    Trial,
+    cell_config,
+    cell_seed,
+    save_artifact,
+    sweep,
+)
 from repro.lrm.operations import read_op, write_op
 from repro.net.latency import UniformLatency
-from repro.parallel.pool import RunSpec, run_specs
-from repro.sim.kernel import SimulationError
-from repro.torture.harness import (
-    CONFIG_NAMES,
-    CONFIGS,
-    HORIZON,
-    MAX_EVENTS,
-    cell_config,
-)
-from repro.verify import ProtocolChecker
 
 #: The grid required by the campaign: every presumption x the four
 #: non-degradation optimization variants.
@@ -65,15 +53,6 @@ ScheduleLike = Union[ChaosSchedule, Sequence[Dict]]
 # ----------------------------------------------------------------------
 # Cell construction
 # ----------------------------------------------------------------------
-def chaos_seed(config_name: str, variant: str, seed: int,
-               index: int) -> int:
-    """Deterministic per-run seed: drives both the cluster's latency
-    streams and the generated schedule, independent of cell order."""
-    tag = zlib.crc32(f"chaos/{config_name}/{variant}/{index}"
-                     .encode("utf-8"))
-    return (seed * 1_000_003 + tag) & 0x7FFFFFFF
-
-
 def chaos_spec(config_name: str, variant: str) -> TransactionSpec:
     """The cell's fixed workload: a chain (n0 <- n1 <- n2) plus a
     direct leaf (n0 <- n3), so duplication and reordering hit a
@@ -101,163 +80,6 @@ def _build_chaos_cell(config_name: str, variant: str,
     return cluster, spec
 
 
-def _start_and_run(cluster: Cluster, spec: TransactionSpec) -> Tuple[
-        Optional[str], bool]:
-    handles: list = []
-    cluster.simulator.call_soon(
-        lambda: handles.append(cluster.start_transaction(spec)),
-        name="chaos-start")
-    try:
-        cluster.run_until(HORIZON, max_events=MAX_EVENTS)
-    except SimulationError:
-        return None, False
-    handle = handles[0] if handles else None
-    outcome = handle.outcome if handle is not None and handle.done else None
-    return outcome, True
-
-
-# ----------------------------------------------------------------------
-# Verdicts
-# ----------------------------------------------------------------------
-def _durable_agreement(cluster: Cluster, txn_id: str) -> List[str]:
-    outcomes = {}
-    for name in cluster.nodes:
-        durable = cluster.durable_outcome(name, txn_id)
-        if durable is not None and not durable.startswith("heuristic"):
-            outcomes[name] = durable
-    if len(set(outcomes.values())) > 1:
-        return [f"durable outcomes disagree: {outcomes}"]
-    return []
-
-
-def _durable_idempotence(cluster: Cluster, txn_id: str) -> List[str]:
-    """RI: a decision reaches each stable log at most once.
-
-    Duplicate delivery of a DECISION must not re-run the commit/abort
-    machinery; a second durable COMMITTED/ABORTED record for the same
-    transaction is the footprint of a non-idempotent application.
-    """
-    violations = []
-    for name, node in cluster.nodes.items():
-        for record_type in (LogRecordType.COMMITTED,
-                            LogRecordType.ABORTED):
-            count = sum(1 for r in node.log.stable.records_for(txn_id)
-                        if r.record_type is record_type)
-            if count > 1:
-                violations.append(
-                    f"[RI] txn {txn_id}: {name} logged "
-                    f"{record_type.value} {count} times (decision "
-                    f"application is not idempotent)")
-    return violations
-
-
-@dataclass
-class ChaosRun:
-    """Verdict of one seeded schedule against one cell."""
-
-    index: int
-    seed: int
-    schedule: List[Dict]
-    verdict: str                 # "ok" | "violations" | "no-quiescence"
-                                 # | "unresolved"
-    violations: List[str] = field(default_factory=list)
-    outcome: Optional[str] = None
-    fired: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "ok"
-
-    def describe(self) -> str:
-        text = (f"schedule#{self.index} (seed {self.seed}, "
-                f"{len(self.schedule)} actions, {self.fired} fired): "
-                f"{self.verdict}")
-        if self.outcome is not None:
-            text += f" (outcome={self.outcome})"
-        return text
-
-    def to_dict(self) -> Dict:
-        return {"index": self.index, "seed": self.seed,
-                "schedule": [dict(a) for a in self.schedule],
-                "verdict": self.verdict,
-                "violations": list(self.violations),
-                "outcome": self.outcome, "fired": self.fired}
-
-
-@dataclass
-class ChaosCellResult:
-    """All schedules of one (config, variant) cell."""
-
-    config_name: str
-    variant: str
-    seed: int
-    runs: List[ChaosRun] = field(default_factory=list)
-
-    @property
-    def name(self) -> str:
-        return f"{self.config_name}/{self.variant}"
-
-    @property
-    def failures(self) -> List[ChaosRun]:
-        return [run for run in self.runs if not run.ok]
-
-    @property
-    def clean(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> Dict:
-        return {"config": self.config_name, "variant": self.variant,
-                "seed": self.seed,
-                "runs": [run.to_dict() for run in self.runs]}
-
-
-@dataclass
-class ChaosReport:
-    """The whole campaign: one ChaosCellResult per (config, variant)."""
-
-    seed: int
-    cells: List[ChaosCellResult] = field(default_factory=list)
-    #: Minimal schedules for failing runs, keyed by (cell name, index).
-    shrunk: Dict[Tuple[str, int], List[Dict]] = field(default_factory=dict)
-
-    @property
-    def clean(self) -> bool:
-        return all(cell.clean for cell in self.cells)
-
-    @property
-    def total_runs(self) -> int:
-        return sum(len(cell.runs) for cell in self.cells)
-
-    def failures(self) -> List[Tuple[ChaosCellResult, ChaosRun]]:
-        return [(cell, run) for cell in self.cells
-                for run in cell.failures]
-
-    def to_dict(self) -> Dict:
-        return {"seed": self.seed,
-                "cells": [cell.to_dict() for cell in self.cells]}
-
-    def describe(self) -> str:
-        lines = [f"chaos campaign: {len(self.cells)} cells, "
-                 f"{self.total_runs} seeded schedules (seed {self.seed})"]
-        for cell in self.cells:
-            status = ("ok" if cell.clean
-                      else f"{len(cell.failures)} FAILING SCHEDULES")
-            fired = sum(run.fired for run in cell.runs)
-            lines.append(f"  {cell.name}: {len(cell.runs)} schedules, "
-                         f"{fired} adversary actions fired — {status}")
-            for run in cell.failures:
-                lines.append(f"    {run.describe()}")
-                shrunk = self.shrunk.get((cell.name, run.index))
-                if shrunk is not None:
-                    lines.append(f"      shrunk to "
-                                 f"{ChaosSchedule(shrunk).describe()}")
-                for violation in run.violations:
-                    lines.append(f"      {violation}")
-        lines.append("no failing schedules" if self.clean
-                     else f"{len(self.failures())} failing schedules")
-        return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
@@ -269,62 +91,36 @@ def _as_schedule(schedule: ScheduleLike) -> ChaosSchedule:
 
 def run_chaos_schedule(config_name: str, variant: str, run_seed: int,
                        schedule: ScheduleLike, index: int = 0,
-                       instrument=None) -> ChaosRun:
-    """Run one cell workload under one chaos schedule and judge it.
-
-    ``instrument``, when given, is called with the freshly built
-    cluster before the run starts — the hook the flight-recorder
-    journal uses to record artifact replays for divergence diffing.
-    """
+                       instrument=None) -> Run:
+    """Run one cell workload under one chaos schedule and judge it."""
     plan = _as_schedule(schedule)
-    cluster, spec = _build_chaos_cell(config_name, variant, run_seed)
-    if instrument is not None:
-        instrument(cluster)
-    engine = ChaosEngine(plan).install(cluster)
-    checker = ProtocolChecker().attach(cluster)
-    outcome, quiesced = _start_and_run(cluster, spec)
-    checker.check_atomicity(spec.txn_id)
-    for node_name in cluster.nodes:
-        checker.check_recovery_locks(node_name)
-    violations = [str(v) for v in checker.violations]
-    violations += _durable_agreement(cluster, spec.txn_id)
-    violations += _durable_idempotence(cluster, spec.txn_id)
-    if not quiesced:
-        verdict = "no-quiescence"
-    elif violations:
-        verdict = "violations"
-    elif outcome is None:
-        verdict = "unresolved"
-        violations.append("root commit operation never completed")
-    else:
-        verdict = "ok"
-    return ChaosRun(index=index, seed=run_seed,
-                    schedule=plan.to_list(), verdict=verdict,
-                    violations=violations, outcome=outcome,
-                    fired=len(engine.fired))
+    trial = Trial(*_build_chaos_cell(config_name, variant, run_seed),
+                  instrument=instrument)
+    engine = ChaosEngine(plan).install(trial.cluster)
+    trial.run()
+    fired = len(engine.fired)
+    return trial.result(
+        f"schedule#{index} (seed {run_seed}, {len(plan)} actions, "
+        f"{fired} fired)",
+        {"index": index, "seed": run_seed, "schedule": plan.to_list(),
+         "fired": fired})
 
 
 def run_chaos_cell(config_name: str, variant: str, seed: int,
-                   schedules: int = DEFAULT_SCHEDULES) -> ChaosCellResult:
+                   schedules: int = DEFAULT_SCHEDULES) -> Cell:
     """Run one cell: N generated schedules, each judged independently."""
-    result = ChaosCellResult(config_name=config_name, variant=variant,
-                             seed=seed)
     spec = chaos_spec(config_name, variant)
     nodes = [p.node for p in spec.participants]
+    runs = []
     for index in range(schedules):
-        run_seed = chaos_seed(config_name, variant, seed, index)
-        plan = generate_schedule(run_seed, nodes)
-        result.runs.append(
-            run_chaos_schedule(config_name, variant, run_seed, plan,
-                               index=index))
-    return result
-
-
-def _run_cell_entry(config_name: str, variant: str, seed: int,
-                    schedules: int) -> ChaosCellResult:
-    """Module-level worker entry (picklable by reference)."""
-    return run_chaos_cell(config_name, variant, seed,
-                          schedules=schedules)
+        run_seed = cell_seed(seed, f"chaos/{config_name}/{variant}/{index}")
+        runs.append(run_chaos_schedule(config_name, variant, run_seed,
+                                       generate_schedule(run_seed, nodes),
+                                       index=index))
+    fired = sum(run.fault["fired"] for run in runs)
+    return Cell(config_name, variant, seed, runs,
+                summary=(f"{len(runs)} schedules, {fired} adversary "
+                         f"actions fired"))
 
 
 def run_chaos_campaign(configs: Optional[Sequence[str]] = None,
@@ -333,45 +129,37 @@ def run_chaos_campaign(configs: Optional[Sequence[str]] = None,
                        schedules: int = DEFAULT_SCHEDULES,
                        workers: Optional[int] = None,
                        shrink: bool = True,
-                       artifact_dir: Optional[str] = None) -> ChaosReport:
+                       artifact_dir: Optional[str] = None) -> Report:
     """Run the campaign grid, cells sharded over the process pool.
 
-    Cell order is fixed by the configs x variants grid and every cell
-    builds its whole world from its arguments, so ``workers=1`` and
-    ``workers=N`` campaigns are bit-identical.  Failing schedules are
-    shrunk in-process after the sweep (deterministic re-runs); with
-    ``artifact_dir`` each failure writes a minimal replayable artifact.
+    ``workers=1`` and ``workers=N`` campaigns are bit-identical.
+    Failing schedules are shrunk in-process after the sweep
+    (deterministic re-runs); with ``artifact_dir`` each failure writes
+    a minimal replayable artifact.
     """
-    config_names = list(configs) if configs else list(CONFIG_NAMES)
-    variant_names = list(variants) if variants else list(CHAOS_VARIANTS)
-    for name in config_names:
-        if name not in CONFIGS:
-            raise ValueError(f"unknown config {name!r}; "
-                             f"choose from {CONFIG_NAMES}")
-    for name in variant_names:
-        if name not in CHAOS_VARIANTS:
-            raise ValueError(f"unknown chaos variant {name!r}; "
-                             f"choose from {CHAOS_VARIANTS}")
-    specs = [
-        RunSpec(fn=_run_cell_entry,
-                args=(config_name, variant, seed, schedules),
-                label=f"chaos:{config_name}/{variant}")
-        for config_name in config_names
-        for variant in variant_names
-    ]
-    cells = run_specs(specs, workers=workers)
-    report = ChaosReport(seed=seed, cells=cells)
+    cells = sweep("chaos", run_chaos_cell, configs, variants,
+                  CHAOS_VARIANTS, seed, workers, schedules)
+    report = Report(
+        seed, cells,
+        header=(f"chaos campaign: {len(cells)} cells, "
+                f"{sum(len(cell.runs) for cell in cells)} seeded "
+                f"schedules (seed {seed})"),
+        units=("schedules", "schedules"))
     if shrink or artifact_dir is not None:
         for cell, run in report.failures():
+            run_seed = run.fault["seed"]
             minimal = shrink_schedule(cell.config_name, cell.variant,
-                                      run.seed, run.schedule)
-            report.shrunk[(cell.name, run.index)] = minimal
+                                      run_seed, run.fault["schedule"])
+            report.shrunk[(cell.name, run.fault["index"])] = minimal
+            run.notes.append(
+                f"shrunk to {ChaosSchedule(minimal).describe()}")
             if artifact_dir is not None:
-                artifact = build_chaos_artifact(
-                    cell.config_name, cell.variant, run.seed, minimal,
-                    run.verdict, run.violations,
-                    spec=chaos_spec(cell.config_name, cell.variant))
-                save_chaos_artifact(artifact, artifact_dir)
+                save_artifact(artifact_dir, "chaos", cell.config_name,
+                              cell.variant, run_seed,
+                              {"schedule": minimal}, run.verdict,
+                              run.violations,
+                              spec=chaos_spec(cell.config_name,
+                                              cell.variant))
     return report
 
 
@@ -421,7 +209,7 @@ def shrink_schedule(config_name: str, variant: str, run_seed: int,
     return current
 
 
-def replay_chaos_artifact(data: Dict, instrument=None) -> ChaosRun:
+def replay_chaos_artifact(data: Dict, instrument=None) -> Run:
     """Re-run the exact schedule a failure artifact describes."""
     return run_chaos_schedule(data["config"], data["variant"],
                               int(data["seed"]), data["schedule"],

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 from repro.analysis.compare import compare_row
@@ -597,6 +598,36 @@ def _run_top(connect: Optional[str], journal: Optional[str], once: bool,
             return 0
 
 
+def _run_campaign(args) -> int:
+    """``torture`` / ``chaos``: sweep the grid, or replay one artifact."""
+    import json
+    from repro.faults.campaign import load_artifact
+    if args.command == "torture":
+        from repro.torture import replay_artifact as replay
+        from repro.torture import torture_sweep
+        sweep = partial(torture_sweep, max_sites=args.max_sites)
+    else:
+        from repro.chaos import replay_chaos_artifact as replay
+        from repro.chaos import run_chaos_campaign
+        sweep = partial(run_chaos_campaign, schedules=args.schedules)
+    if args.replay is not None:
+        result = replay(load_artifact(args.replay, args.command))
+        passed = result.ok
+    else:
+        result = sweep(configs=args.configs, variants=args.variants,
+                       seed=args.seed, workers=args.workers,
+                       artifact_dir=args.artifacts)
+        passed = result.clean
+    if args.json:
+        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    else:
+        print(result.describe())
+        if args.replay is not None:
+            for violation in result.violations:
+                print(f"  {violation}")
+    return 0 if passed else 1
+
+
 def _run_audit(workers: Optional[int], txns: int, zero_tolerance: bool,
                faults: bool, as_json: bool) -> int:
     """The conformance audit matrix (and optional seeded-fault run)."""
@@ -783,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--json", action="store_true",
                        help="emit the full report as JSON")
 
-    from repro.torture.harness import CONFIG_NAMES, VARIANTS
+    from repro.faults.campaign import CONFIG_NAMES, VARIANTS
     torture = sub.add_parser(
         "torture", help="deterministic crash-point torture matrix: "
                         "replay the workload with a crash at every "
@@ -812,6 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "as JSON")
 
     from repro.chaos import CHAOS_VARIANTS
+    from repro.chaos.campaign import DEFAULT_SCHEDULES
     chaos = sub.add_parser(
         "chaos", help="adversarial network chaos campaign: sweep seeded "
                       "schedules of duplication, reordering, delay "
@@ -825,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="optimization variants (default: all)")
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--schedules", type=int, default=None,
+    chaos.add_argument("--schedules", type=int, default=DEFAULT_SCHEDULES,
                        help="seeded schedules per cell (default 13, "
                             "i.e. 208 runs over the full grid)")
     chaos.add_argument("--workers", type=int, default=None,
@@ -1030,57 +1062,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                           max_nodes=args.max_nodes)
         print(report.describe())
         return 0 if report.clean else 1
-    if args.command == "torture":
-        import json as json_module
-        if args.replay is not None:
-            from repro.torture import load_artifact, replay_artifact
-            run = replay_artifact(load_artifact(args.replay))
-            if args.json:
-                print(json_module.dumps(run.to_dict(), indent=2,
-                                        sort_keys=True))
-            else:
-                print(run.describe())
-                for violation in run.violations:
-                    print(f"  {violation}")
-            return 0 if run.ok else 1
-        from repro.torture import torture_sweep
-        report = torture_sweep(configs=args.configs, variants=args.variants,
-                               seed=args.seed, workers=args.workers,
-                               max_sites=args.max_sites,
-                               artifact_dir=args.artifacts)
-        if args.json:
-            print(json_module.dumps(report.to_dict(), indent=2,
-                                    sort_keys=True))
-        else:
-            print(report.describe())
-        return 0 if report.clean else 1
-    if args.command == "chaos":
-        import json as json_module
-        if args.replay is not None:
-            from repro.chaos import load_chaos_artifact, \
-                replay_chaos_artifact
-            run = replay_chaos_artifact(load_chaos_artifact(args.replay))
-            if args.json:
-                print(json_module.dumps(run.to_dict(), indent=2,
-                                        sort_keys=True))
-            else:
-                print(run.describe())
-                for violation in run.violations:
-                    print(f"  {violation}")
-            return 0 if run.ok else 1
-        from repro.chaos import run_chaos_campaign
-        from repro.chaos.campaign import DEFAULT_SCHEDULES
-        report = run_chaos_campaign(
-            configs=args.configs, variants=args.variants, seed=args.seed,
-            schedules=(args.schedules if args.schedules is not None
-                       else DEFAULT_SCHEDULES),
-            workers=args.workers, artifact_dir=args.artifacts)
-        if args.json:
-            print(json_module.dumps(report.to_dict(), indent=2,
-                                    sort_keys=True))
-        else:
-            print(report.describe())
-        return 0 if report.clean else 1
+    if args.command in ("torture", "chaos"):
+        return _run_campaign(args)
     if args.command == "journal":
         return _run_journal(args.name, args.out, args.watchdog,
                             args.prom, args.seed, args.txns)

@@ -291,6 +291,10 @@ class DecisionMixin:
         context.cancel_timers()
         if context.state in (TxnState.ABORTED, TxnState.ABORTING):
             return  # we voted NO and already aborted
+        if context.state is TxnState.PREPARING:
+            # The ABORT overtook our vote: the parent still counts it
+            # among its outstanding votes, so answer NO.
+            self.send(MessageType.VOTE_NO, context.parent, context.txn_id)
         context.outcome = "abort"
         self.transition(context, TxnState.ABORTING)
         forced = self.config.subordinate_abort_forced \

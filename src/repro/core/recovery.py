@@ -290,9 +290,20 @@ class RecoveryMixin:
                 from repro.core.context import VoteInfo
                 from repro.lrm.resource_manager import Vote
                 context.record_vote(child, VoteInfo(vote=Vote.YES))
-        # Re-acquire exclusive locks on the touched keys: the in-doubt
-        # window blocks other transactions (the blocking 2PC is famous
-        # for, and the reason heuristics exist).
+        self._relock(txn_id, recs)
+        self.note(txn_id, "restarts in doubt")
+        if self.config.coordinator_driven_recovery:
+            # PN: the coordinator will contact us.  We wait (blocking),
+            # though the heuristic timer may fire first.
+            self.start_heuristic_timer(context)
+            return
+        self._start_inquiry(context)
+
+    def _relock(self: "TMNode", txn_id: str, recs: List[LogRecord]) -> None:
+        """Re-acquire exclusive locks on the keys an in-doubt
+        transaction touched: the in-doubt window blocks other
+        transactions (the blocking 2PC is famous for, and the reason
+        heuristics exist)."""
         keys_by_rm: Dict[str, Set[str]] = {}
         for record in recs:
             if record.record_type is LogRecordType.LRM_UPDATE:
@@ -315,13 +326,6 @@ class RecoveryMixin:
                           f"keys left unlocked")
                 continue
             rm.relock(txn_id, keys)
-        self.note(txn_id, "restarts in doubt")
-        if self.config.coordinator_driven_recovery:
-            # PN: the coordinator will contact us.  We wait (blocking),
-            # though the heuristic timer may fire first.
-            self.start_heuristic_timer(context)
-            return
-        self._start_inquiry(context)
 
     def _resume_undecided_coordinator(self: "TMNode", txn_id: str,
                                       recs: List[LogRecord]) -> None:
@@ -349,6 +353,7 @@ class RecoveryMixin:
             context.parent = parent
             context.active_children = children
             self.transition(context, TxnState.PREPARED)
+            self._relock(txn_id, recs)
             self.note(txn_id, "restart: undecided cascaded coordinator "
                               "inquires parent")
             self._start_inquiry(context)

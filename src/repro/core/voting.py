@@ -383,6 +383,8 @@ class VotingMixin:
                     for info in context.all_votes()))
 
         def voted() -> None:
+            if context.outcome is not None:
+                return  # an ABORT overtook the force: never prepare
             self.transition(context, TxnState.PREPARED)
             context.sent_yes_vote = True
             context.voted_reliable = reliable
@@ -394,6 +396,8 @@ class VotingMixin:
             self.start_heuristic_timer(context)
 
         def write_prepared() -> None:
+            if context.outcome is not None:
+                return  # aborted while the PN initiator force ran
             self.log_tm(context, LogRecordType.PREPARED, payload=payload,
                         force=True, on_durable=voted)
 

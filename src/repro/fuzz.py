@@ -2,30 +2,22 @@
 
 Drives batches of randomized runs — random commit trees, random
 veto/read-only placement, random crash or partition schedules, and
-jittered (FIFO) links — with the :class:`~repro.verify.ProtocolChecker`
-attached, and reports any safety violation.  Exposed as
-``repro-2pc fuzz``.
+jittered (FIFO) links — on the campaign runner of
+:mod:`repro.faults.campaign`, and reports every run its one verdict
+fails.  Exposed as ``repro-2pc fuzz``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.core.cluster import Cluster
-from repro.core.config import (
-    BASIC_2PC,
-    PRESUMED_ABORT,
-    PRESUMED_COMMIT,
-    PRESUMED_NOTHING,
-)
 from repro.core.spec import ParticipantSpec, TransactionSpec
+from repro.faults.campaign import CONFIGS, TIMEOUTS, Trial, judge
 from repro.lrm.operations import read_op, write_op
 from repro.net.latency import UniformLatency
 from repro.sim.randomness import RandomStream
-from repro.verify import ProtocolChecker, Violation
-
-CONFIGS = [BASIC_2PC, PRESUMED_ABORT, PRESUMED_NOTHING, PRESUMED_COMMIT]
 
 
 @dataclass
@@ -36,7 +28,7 @@ class FuzzReport:
     unresolved: int = 0
     crashes_injected: int = 0
     partitions_injected: int = 0
-    violations: List[Violation] = field(default_factory=list)
+    violations: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -61,7 +53,7 @@ class FuzzReport:
 
 
 def _random_spec(rng: RandomStream, max_nodes: int,
-                 txn_id: Optional[str] = None) -> TransactionSpec:
+                 txn_id: str) -> TransactionSpec:
     n = rng.randint(1, max_nodes)
     names = [f"n{i}" for i in range(n)]
     participants = [ParticipantSpec(node="n0")]
@@ -78,8 +70,7 @@ def _random_spec(rng: RandomStream, max_nodes: int,
             participant.ops.append(read_op("shared"))
         if rng.chance(0.08):
             participant.veto = True
-    kwargs = {"txn_id": txn_id} if txn_id is not None else {}
-    return TransactionSpec(participants=participants, **kwargs)
+    return TransactionSpec(participants=participants, txn_id=txn_id)
 
 
 def fuzz(runs: int = 25, seed: int = 0, max_nodes: int = 6,
@@ -88,6 +79,7 @@ def fuzz(runs: int = 25, seed: int = 0, max_nodes: int = 6,
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     rng = RandomStream(seed)
+    configs = list(CONFIGS.values())
     report = FuzzReport()
     for index in range(runs):
         report.runs += 1
@@ -95,20 +87,24 @@ def fuzz(runs: int = 25, seed: int = 0, max_nodes: int = 6,
         # otherwise leak into the spec, making two fuzz() invocations
         # (or in-process vs forked-worker runs) diverge.
         spec = _random_spec(rng, max_nodes, txn_id=f"fuzz-{seed}-{index}")
-        config = rng.choice(CONFIGS).with_options(
-            ack_timeout=15.0, retry_interval=15.0, vote_timeout=25.0,
-            inquiry_timeout=25.0, work_timeout=40.0)
+        config = rng.choice(configs).with_options(**TIMEOUTS)
         nodes = [p.node for p in spec.participants]
-        cluster = Cluster(config, nodes=nodes, seed=seed * 1000 + index,
-                          latency=UniformLatency(0.5, 2.0))
-        checker = ProtocolChecker().attach(cluster)
+        trial = Trial(Cluster(config, nodes=nodes, seed=seed * 1000 + index,
+                              latency=UniformLatency(0.5, 2.0)), spec)
+        cluster = trial.cluster
 
         if len(nodes) > 1 and rng.chance(fault_rate):
             if rng.chance(0.5):
                 victim = rng.choice(nodes)
                 at = rng.uniform(0.5, 15.0)
                 cluster.crash_at(victim, at)
-                cluster.restart_at(victim, at + rng.uniform(10.0, 40.0))
+
+                def restart(victim=victim) -> None:
+                    cluster.restart(victim)
+                    trial.restarted(victim)
+
+                cluster.simulator.at(at + rng.uniform(10.0, 40.0), restart,
+                                     name=f"restart:{victim}")
                 report.crashes_injected += 1
             else:
                 edges = [(p.parent, p.node) for p in spec.participants
@@ -119,13 +115,11 @@ def fuzz(runs: int = 25, seed: int = 0, max_nodes: int = 6,
                 cluster.heal_at(a, b, at + rng.uniform(10.0, 60.0))
                 report.partitions_injected += 1
 
-        handle = cluster.start_transaction(spec)
-        cluster.run_until(600.0, max_events=500_000)
-        checker.check_atomicity(spec.txn_id)
-        report.violations.extend(checker.violations)
-        if not handle.done:
+        trial.run()
+        report.violations.extend(judge(trial)[1])
+        if trial.outcome is None:
             report.unresolved += 1
-        elif handle.committed:
+        elif trial.outcome == "commit":
             report.committed += 1
         else:
             report.aborted += 1

@@ -24,8 +24,7 @@ cluster, the journal's rows, and fold them.
   event handlers, grouped by event type.
 * :class:`JournalRecorder` — schema-versioned flight recorder: an
   append-only, causally-linked journal of every flow, log write,
-  force, and lock event; :class:`CausalGraph` rebuilds the
-  happens-before DAG, :func:`diff_journals` localizes the first
+  force, and lock event; :func:`diff_journals` localizes the first
   causally-divergent event between two journals, and
   :class:`Watchdog` runs in-doubt/lock-wait/orphan/unacked-force
   detectors over a journal or a live cluster's rows.
@@ -37,7 +36,6 @@ from repro.obs.audit import (AuditFinding, ConformanceAuditor,
                              run_faulty_audit_cell)
 from repro.metrics.columns import (FloatColumn, IntColumn, PairColumn,
                                    StringInterner)
-from repro.obs.causal import CausalGraph, build_causal_graph
 from repro.obs.diff import (Divergence, diff_journals,
                             record_workload_journal,
                             run_journal_self_check)
@@ -54,14 +52,13 @@ from repro.obs.watchdog import (Watchdog, WatchdogFinding,
 from repro.obs.report import RunReport
 from repro.obs.span import (KIND_LOG, KIND_MESSAGE, KIND_PHASE, KIND_TXN,
                             Span, build_tree, render_span_tree,
-                            spans_from_jsonl, spans_to_chrome,
+                            spans_to_chrome,
                             spans_to_jsonl)
 from repro.obs.timeseries import SimTimeSeries, sparkline
 from repro.obs.tracer import PHASE_OF_STATE, SpanTracer
 
 __all__ = [
     "AuditFinding",
-    "CausalGraph",
     "ConformanceAuditor",
     "CostLedger",
     "Divergence",
@@ -89,7 +86,6 @@ __all__ = [
     "TxnLedger",
     "Watchdog",
     "WatchdogFinding",
-    "build_causal_graph",
     "build_tree",
     "diff_journals",
     "escape_label_value",
@@ -107,7 +103,6 @@ __all__ = [
     "run_faulty_audit_cell",
     "run_journal_self_check",
     "sparkline",
-    "spans_from_jsonl",
     "spans_to_chrome",
     "spans_to_jsonl",
 ]

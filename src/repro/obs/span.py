@@ -111,22 +111,6 @@ def spans_to_jsonl(spans: Sequence[Span]) -> str:
                      for span in ordered)
 
 
-def spans_from_jsonl(text: str) -> List[Span]:
-    spans = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"line {lineno}: invalid JSON: {error}")
-        try:
-            spans.append(Span.from_dict(data))
-        except (KeyError, TypeError) as error:
-            raise ValueError(f"line {lineno}: invalid span: {error}")
-    return spans
-
-
 def spans_to_chrome(spans: Sequence[Span],
                     time_scale: float = 1000.0) -> Dict[str, object]:
     """Spans as a Chrome ``trace_event`` JSON document.

@@ -3,23 +3,12 @@
 Explores every crash site a workload exposes — each forced log write
 and each message send/delivery, per node, pre- and post-effect —
 across the four presumption configs and their optimization variants,
-asserting the protocol's safety invariants after every restart
-recovery.  See docs/TORTURE.md and ``repro-2pc torture``.
+judging every restart recovery with the campaign verdict of
+:mod:`repro.faults.campaign`.  See docs/TORTURE.md and
+``repro-2pc torture``.
 """
 
-from repro.torture.artifact import (
-    build_artifact,
-    load_artifact,
-    save_artifact,
-    spec_from_dict,
-    spec_to_dict,
-)
 from repro.torture.harness import (
-    CONFIG_NAMES,
-    VARIANTS,
-    CellResult,
-    SiteRun,
-    TortureReport,
     record_sites,
     replay_artifact,
     run_cell,
@@ -30,21 +19,11 @@ from repro.torture.sites import ArmedCrash, SiteRecorder, arm_crash
 
 __all__ = [
     "ArmedCrash",
-    "CONFIG_NAMES",
-    "CellResult",
     "SiteRecorder",
-    "SiteRun",
-    "TortureReport",
-    "VARIANTS",
     "arm_crash",
-    "build_artifact",
-    "load_artifact",
     "record_sites",
     "replay_artifact",
     "run_cell",
     "run_site",
-    "save_artifact",
-    "spec_from_dict",
-    "spec_to_dict",
     "torture_sweep",
 ]

@@ -9,92 +9,45 @@ runs the cell's fixed workload twice over:
 * **Phase 2** — one replay of the same seed per (site, pre/post) pair
   with an :class:`ArmedCrash` injected exactly there.  The crashed
   node restarts after a fixed delay, restart recovery runs to
-  quiescence, and the run is judged: :class:`ProtocolChecker` rules
-  R1-R6 must hold, the rebuilt in-doubt locks (rule RL) must be held
-  or surfaced, and the durable outcomes of all participants must
-  agree.
+  quiescence, and the run gets the campaign's one verdict
+  (:func:`repro.faults.campaign.judge`).
 
-Cells are independent simulations, parallelized over
-:mod:`repro.parallel.pool`; serial and parallel sweeps are
-bit-identical.  Failing sites emit minimized replayable JSON artifacts
-(see :mod:`repro.torture.artifact`) consumed by
+The grid, runner, verdict, sweep and artifacts are
+:mod:`repro.faults.campaign`'s; this module is torture's fault source.
+Failing sites emit replayable JSON artifacts consumed by
 ``repro-2pc torture --replay FILE``.
 """
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cluster import Cluster
-from repro.core.config import (
-    BASIC_2PC,
-    PRESUMED_ABORT,
-    PRESUMED_COMMIT,
-    PRESUMED_NOTHING,
-    ProtocolConfig,
-)
 from repro.core.spec import ParticipantSpec, TransactionSpec
+from repro.faults.campaign import (
+    VARIANTS,
+    Cell,
+    Report,
+    Run,
+    Trial,
+    cell_config,
+    cell_seed,
+    judge,
+    save_artifact,
+    sweep,
+)
 from repro.faults.injector import CrashSite
-from repro.log.group_commit import GroupCommitPolicy
 from repro.lrm.operations import read_op, write_op
 from repro.net.latency import UniformLatency
-from repro.parallel.pool import RunSpec, run_specs
-from repro.sim.kernel import SimulationError
-from repro.torture.artifact import build_artifact, save_artifact
 from repro.torture.sites import SiteRecorder, arm_crash
-from repro.verify import ProtocolChecker
 
-CONFIGS: Dict[str, ProtocolConfig] = {
-    "BASIC": BASIC_2PC,
-    "PA": PRESUMED_ABORT,
-    "PN": PRESUMED_NOTHING,
-    "PC": PRESUMED_COMMIT,
-}
-CONFIG_NAMES: Tuple[str, ...] = tuple(CONFIGS)
-
-#: Optimization variants layered on each presumption.  ``missing-rm``
-#: is the recovery-degradation scenario: the crashed node's detached
-#: resource manager does not come back after the restart, so in-doubt
-#: relocking must surface a ``relock-missing-rm`` anomaly (rule RL
-#: fails the site if the loss is silent).
-VARIANTS: Tuple[str, ...] = ("baseline", "read-only", "last-agent",
-                             "group-commit", "missing-rm")
-
-#: Fuzz-style failure-handling timeouts: short enough that recovery
-#: retries and inquiries resolve well inside the horizon.
-_TIMEOUTS = dict(ack_timeout=15.0, retry_interval=15.0, vote_timeout=25.0,
-                 inquiry_timeout=25.0, work_timeout=40.0)
-
-HORIZON = 600.0
-MAX_EVENTS = 200_000
 RESTART_DELAY = 20.0
 
 
 # ----------------------------------------------------------------------
 # Cell construction
 # ----------------------------------------------------------------------
-def cell_seed(config_name: str, variant: str, seed: int) -> int:
-    """Deterministic per-cell seed (independent of cell order)."""
-    tag = zlib.crc32(f"{config_name}/{variant}".encode("utf-8"))
-    return (seed * 1_000_003 + tag) & 0x7FFFFFFF
-
-
-def cell_config(config_name: str, variant: str) -> ProtocolConfig:
-    config = CONFIGS[config_name].with_options(**_TIMEOUTS)
-    if variant == "baseline" or variant == "missing-rm":
-        return config.with_options(read_only=False)
-    if variant == "read-only":
-        return config.with_options(read_only=True)
-    if variant == "last-agent":
-        return config.with_options(last_agent=True)
-    if variant == "group-commit":
-        return config.with_options(
-            group_commit=GroupCommitPolicy(group_size=2, timeout=2.0))
-    raise ValueError(f"unknown torture variant {variant!r}")
-
-
 def cell_spec(config_name: str, variant: str) -> TransactionSpec:
     """The cell's fixed three-node workload (explicit txn id: the
     global transaction counter must not leak into worker processes)."""
@@ -119,182 +72,22 @@ def _build_cell(config_name: str, variant: str,
     config = cell_config(config_name, variant)
     spec = cell_spec(config_name, variant)
     cluster = Cluster(config, nodes=[p.node for p in spec.participants],
-                      seed=cell_seed(config_name, variant, seed),
+                      seed=cell_seed(seed, f"{config_name}/{variant}"),
                       latency=UniformLatency(0.5, 2.0))
     if variant == "missing-rm":
         cluster.nodes["n1"].add_detached_rm("aux")
     return cluster, spec
 
 
-def _start_and_run(cluster: Cluster, spec: TransactionSpec) -> Tuple[
-        Optional[str], bool]:
-    """Start the workload inside the kernel and run to the horizon.
-
-    Returns (root outcome or None, quiesced).  The start rides
-    ``call_soon`` so armed crash sites can interrupt enrollment sends;
-    phase 1 starts the same way, keeping the two phases' event
-    sequences — and therefore the site ordinals — identical.
-    """
-    handles: list = []
-    cluster.simulator.call_soon(
-        lambda: handles.append(cluster.start_transaction(spec)),
-        name="torture-start")
-    try:
-        cluster.run_until(HORIZON, max_events=MAX_EVENTS)
-    except SimulationError:
-        return None, False
-    handle = handles[0] if handles else None
-    outcome = handle.outcome if handle is not None and handle.done else None
-    return outcome, True
-
-
-# ----------------------------------------------------------------------
-# Results
-# ----------------------------------------------------------------------
-@dataclass
-class SiteRun:
-    """Verdict of one replay: one crash site, one pre/post side."""
-
-    site: CrashSite
-    when: str
-    verdict: str                 # "ok" | "violations" | "no-quiescence"
-                                 # | "not-fired"
-    violations: List[str] = field(default_factory=list)
-    outcome: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "ok"
-
-    def describe(self) -> str:
-        text = f"{self.site.describe()} [{self.when}]: {self.verdict}"
-        if self.outcome is not None:
-            text += f" (outcome={self.outcome})"
-        return text
-
-    def to_dict(self) -> Dict:
-        return {"site": self.site.to_dict(), "when": self.when,
-                "verdict": self.verdict, "violations": list(self.violations),
-                "outcome": self.outcome}
-
-
-@dataclass
-class CellResult:
-    """All site replays of one (config, variant) cell."""
-
-    config_name: str
-    variant: str
-    seed: int
-    sites: List[CrashSite] = field(default_factory=list)
-    runs: List[SiteRun] = field(default_factory=list)
-    clean_violations: List[str] = field(default_factory=list)
-    clean_outcome: Optional[str] = None
-    sites_truncated: int = 0
-
-    @property
-    def name(self) -> str:
-        return f"{self.config_name}/{self.variant}"
-
-    @property
-    def failures(self) -> List[SiteRun]:
-        return [run for run in self.runs if not run.ok]
-
-    @property
-    def clean(self) -> bool:
-        return not self.clean_violations and not self.failures
-
-    def to_dict(self) -> Dict:
-        return {
-            "config": self.config_name,
-            "variant": self.variant,
-            "seed": self.seed,
-            "clean_outcome": self.clean_outcome,
-            "clean_violations": list(self.clean_violations),
-            "sites": [site.to_dict() for site in self.sites],
-            "sites_truncated": self.sites_truncated,
-            "runs": [run.to_dict() for run in self.runs],
-        }
-
-
-@dataclass
-class TortureReport:
-    """The whole matrix: one CellResult per (config, variant)."""
-
-    seed: int
-    cells: List[CellResult] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return all(cell.clean for cell in self.cells)
-
-    @property
-    def total_sites(self) -> int:
-        return sum(len(cell.sites) for cell in self.cells)
-
-    @property
-    def total_runs(self) -> int:
-        return sum(len(cell.runs) for cell in self.cells)
-
-    def failures(self) -> List[Tuple[CellResult, SiteRun]]:
-        return [(cell, run) for cell in self.cells
-                for run in cell.failures]
-
-    def to_dict(self) -> Dict:
-        return {"seed": self.seed,
-                "cells": [cell.to_dict() for cell in self.cells]}
-
-    def describe(self) -> str:
-        lines = [f"torture matrix: {len(self.cells)} cells, "
-                 f"{self.total_sites} sites, {self.total_runs} crash "
-                 f"replays (seed {self.seed})"]
-        for cell in self.cells:
-            status = "ok"
-            if cell.clean_violations:
-                status = f"CLEAN-RUN VIOLATIONS ({len(cell.clean_violations)})"
-            elif cell.failures:
-                status = f"{len(cell.failures)} FAILING SITES"
-            truncated = (f", {cell.sites_truncated} sites skipped (cap)"
-                         if cell.sites_truncated else "")
-            lines.append(f"  {cell.name}: {len(cell.sites)} sites, "
-                         f"{len(cell.runs)} replays{truncated} — {status}")
-            for violation in cell.clean_violations:
-                lines.append(f"    clean run: {violation}")
-            for run in cell.failures:
-                lines.append(f"    {run.describe()}")
-                for violation in run.violations:
-                    lines.append(f"      {violation}")
-        lines.append("no failing sites" if self.clean
-                     else f"{len(self.failures())} failing site replays")
-        return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _durable_agreement(cluster: Cluster, txn_id: str) -> List[str]:
-    """Non-heuristic durable outcomes across nodes must agree."""
-    outcomes = {}
-    for name in cluster.nodes:
-        durable = cluster.durable_outcome(name, txn_id)
-        if durable is not None and not durable.startswith("heuristic"):
-            outcomes[name] = durable
-    if len(set(outcomes.values())) > 1:
-        return [f"durable outcomes disagree: {outcomes}"]
-    return []
-
-
 def run_site(config_name: str, variant: str, seed: int, site: CrashSite,
-             when: str, instrument=None) -> SiteRun:
-    """Replay one cell with a crash armed at one site.
-
-    ``instrument``, when given, is called with the freshly built
-    cluster before the crash is armed — the hook the flight-recorder
-    journal uses to record artifact replays for divergence diffing.
-    """
-    cluster, spec = _build_cell(config_name, variant, seed)
-    if instrument is not None:
-        instrument(cluster)
-    checker = ProtocolChecker().attach(cluster)
+             when: str, instrument=None) -> Run:
+    """Replay one cell with a crash armed at one site."""
+    trial = Trial(*_build_cell(config_name, variant, seed),
+                  instrument=instrument)
+    cluster = trial.cluster
 
     def on_crash() -> None:
         if variant == "missing-rm" and site.node == "n1":
@@ -302,76 +95,46 @@ def run_site(config_name: str, variant: str, seed: int, site: CrashSite,
             # recovery must surface the unlockable in-doubt keys.
             cluster.nodes["n1"].detached_rms.pop("aux", None)
 
-    def on_restart() -> None:
-        checker.check_recovery_locks(site.node)
-
     armed = arm_crash(cluster, site, when=when,
-                      restart_after=RESTART_DELAY,
-                      on_crash=on_crash, on_restart=on_restart)
-    outcome, quiesced = _start_and_run(cluster, spec)
-    checker.check_atomicity(spec.txn_id)
-    violations = [str(v) for v in checker.violations]
-    violations += _durable_agreement(cluster, spec.txn_id)
-    if not quiesced:
-        verdict = "no-quiescence"
-    elif not armed.fired:
-        verdict = "not-fired"
-    elif violations:
-        verdict = "violations"
-    else:
-        verdict = "ok"
-    return SiteRun(site=site, when=when, verdict=verdict,
-                   violations=violations, outcome=outcome)
+                      restart_after=RESTART_DELAY, on_crash=on_crash,
+                      on_restart=partial(trial.restarted, site.node))
+    trial.run()
+    return trial.result(f"{site.describe()} [{when}]",
+                        {"site": site.to_dict(), "when": when},
+                        fired=armed.fired)
 
 
 def record_sites(config_name: str, variant: str,
                  seed: int) -> Tuple[List[CrashSite], List[str],
                                      Optional[str]]:
     """Phase 1: clean run; returns (sites, violations, outcome)."""
-    cluster, spec = _build_cell(config_name, variant, seed)
-    recorder = SiteRecorder().attach(cluster)
-    checker = ProtocolChecker().attach(cluster)
-    outcome, quiesced = _start_and_run(cluster, spec)
-    checker.check_atomicity(spec.txn_id)
-    violations = [str(v) for v in checker.violations]
-    violations += _durable_agreement(cluster, spec.txn_id)
-    if not quiesced:
-        violations.append("clean run did not quiesce")
-    recorder.detach()
-    checker.detach()
-    return recorder.sites, violations, outcome
+    trial = Trial(*_build_cell(config_name, variant, seed))
+    recorder = SiteRecorder().attach(trial.cluster)
+    trial.run()
+    return recorder.sites, judge(trial)[1], trial.outcome
 
 
 def run_cell(config_name: str, variant: str, seed: int,
              max_sites: Optional[int] = None,
-             whens: Sequence[str] = ("pre", "post")) -> CellResult:
+             whens: Sequence[str] = ("pre", "post")) -> Cell:
     """Run one cell: record sites, then replay a crash at each."""
     sites, clean_violations, clean_outcome = record_sites(
         config_name, variant, seed)
-    result = CellResult(config_name=config_name, variant=variant,
-                        seed=seed, clean_violations=clean_violations,
-                        clean_outcome=clean_outcome)
-    if clean_violations:
-        # The baseline is broken; crash replays would only repeat it.
-        result.sites = sites
-        return result
-    if max_sites is not None and len(sites) > max_sites:
-        result.sites_truncated = len(sites) - max_sites
-        sites = sites[:max_sites]
-    result.sites = sites
-    for site in sites:
-        for when in whens:
-            result.runs.append(
-                run_site(config_name, variant, seed, site, when))
-    return result
-
-
-def _run_cell_entry(config_name: str, variant: str, seed: int,
-                    max_sites: Optional[int],
-                    whens: Tuple[str, ...]) -> CellResult:
-    """Module-level worker entry (picklable by reference)."""
-    return run_cell(config_name, variant, seed, max_sites=max_sites,
-                    whens=whens)
+    cell = Cell(config_name, variant, seed, sites=sites,
+                clean_violations=clean_violations,
+                clean_outcome=clean_outcome)
+    # A broken baseline is not replayed: replays would only repeat it.
+    if not clean_violations:
+        if max_sites is not None and len(sites) > max_sites:
+            cell.sites_truncated = len(sites) - max_sites
+            cell.sites = sites[:max_sites]
+        cell.runs = [run_site(config_name, variant, seed, site, when)
+                     for site in cell.sites for when in whens]
+    truncated = (f", {cell.sites_truncated} sites skipped (cap)"
+                 if cell.sites_truncated else "")
+    cell.summary = (f"{len(cell.sites)} sites, {len(cell.runs)} "
+                    f"replays{truncated}")
+    return cell
 
 
 def torture_sweep(configs: Optional[Sequence[str]] = None,
@@ -379,45 +142,32 @@ def torture_sweep(configs: Optional[Sequence[str]] = None,
                   seed: int = 0, workers: Optional[int] = None,
                   max_sites: Optional[int] = None,
                   whens: Sequence[str] = ("pre", "post"),
-                  artifact_dir: Optional[str] = None) -> TortureReport:
+                  artifact_dir: Optional[str] = None) -> Report:
     """Run the full matrix, cells sharded over the process pool.
 
-    Cell order (and therefore report order) is fixed by the configs x
-    variants grid, and every cell builds its whole world from its
-    arguments, so ``workers=1`` and ``workers=N`` sweeps are
-    bit-identical.  With ``artifact_dir``, each failing site writes a
-    replayable JSON artifact there.
+    ``workers=1`` and ``workers=N`` sweeps are bit-identical.  With
+    ``artifact_dir``, each failing site writes a replayable JSON
+    artifact there.
     """
-    config_names = list(configs) if configs else list(CONFIG_NAMES)
-    variant_names = list(variants) if variants else list(VARIANTS)
-    for name in config_names:
-        if name not in CONFIGS:
-            raise ValueError(f"unknown config {name!r}; "
-                             f"choose from {CONFIG_NAMES}")
-    for name in variant_names:
-        if name not in VARIANTS:
-            raise ValueError(f"unknown variant {name!r}; "
-                             f"choose from {VARIANTS}")
-    specs = [
-        RunSpec(fn=_run_cell_entry,
-                args=(config_name, variant, seed, max_sites, tuple(whens)),
-                label=f"torture:{config_name}/{variant}")
-        for config_name in config_names
-        for variant in variant_names
-    ]
-    cells = run_specs(specs, workers=workers)
-    report = TortureReport(seed=seed, cells=cells)
+    cells = sweep("torture", run_cell, configs, variants, VARIANTS, seed,
+                  workers, max_sites, tuple(whens))
+    report = Report(
+        seed, cells,
+        header=(f"torture matrix: {len(cells)} cells, "
+                f"{sum(len(cell.sites) for cell in cells)} sites, "
+                f"{sum(len(cell.runs) for cell in cells)} crash replays "
+                f"(seed {seed})"),
+        units=("sites", "site replays"))
     if artifact_dir is not None:
         for cell, run in report.failures():
-            artifact = build_artifact(
-                cell.config_name, cell.variant, seed,
-                run.site.to_dict(), run.when, run.verdict, run.violations,
-                spec=cell_spec(cell.config_name, cell.variant))
-            save_artifact(artifact, artifact_dir)
+            save_artifact(artifact_dir, "torture", cell.config_name,
+                          cell.variant, seed, run.fault, run.verdict,
+                          run.violations,
+                          spec=cell_spec(cell.config_name, cell.variant))
     return report
 
 
-def replay_artifact(data: Dict, instrument=None) -> SiteRun:
+def replay_artifact(data: Dict, instrument=None) -> Run:
     """Re-run the exact site a failure artifact describes."""
     site = CrashSite.from_dict(data["site"])
     return run_site(data["config"], data["variant"], int(data["seed"]),

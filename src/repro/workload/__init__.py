@@ -12,7 +12,6 @@ from repro.workload.trees import (
     balanced_tree_spec,
     chain_spec,
     flat_spec,
-    random_tree_spec,
 )
 from repro.workload.generator import WorkloadGenerator, WorkloadParams
 from repro.workload.chains import chained_transaction_specs
@@ -34,7 +33,6 @@ __all__ = [
     "chain_spec",
     "chained_transaction_specs",
     "flat_spec",
-    "random_tree_spec",
     "read_mostly_reporting",
     "travel_booking",
 ]

@@ -6,7 +6,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.spec import ParticipantSpec, TransactionSpec
 from repro.lrm.operations import write_op
-from repro.sim.randomness import RandomStream
 
 
 def _default_ops(node: str) -> List:
@@ -48,19 +47,6 @@ def balanced_tree_spec(nodes: Sequence[str], fanout: int = 2,
         node=nodes[0], ops=_default_ops(nodes[0]) if updates else [])]
     for index, name in enumerate(nodes[1:], start=1):
         parent = nodes[(index - 1) // fanout]
-        participants.append(ParticipantSpec(
-            node=name, parent=parent,
-            ops=_default_ops(name) if updates else []))
-    return TransactionSpec(participants=participants)
-
-
-def random_tree_spec(nodes: Sequence[str], rng: RandomStream,
-                     updates: bool = True) -> TransactionSpec:
-    """A uniformly random recursive tree over the given nodes."""
-    participants = [ParticipantSpec(
-        node=nodes[0], ops=_default_ops(nodes[0]) if updates else [])]
-    for index, name in enumerate(nodes[1:], start=1):
-        parent = nodes[rng.randint(0, index - 1)]
         participants.append(ParticipantSpec(
             node=name, parent=parent,
             ops=_default_ops(name) if updates else []))

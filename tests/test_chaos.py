@@ -7,17 +7,14 @@ import pytest
 from repro.chaos import (
     ChaosEngine,
     ChaosSchedule,
-    build_chaos_artifact,
     chaos_spec,
     generate_schedule,
-    load_chaos_artifact,
     replay_chaos_artifact,
     run_chaos_campaign,
     run_chaos_schedule,
-    save_chaos_artifact,
     validate_action,
 )
-from repro.chaos.campaign import _build_chaos_cell, _start_and_run
+from repro.chaos.campaign import _build_chaos_cell
 from repro.core.cluster import Cluster
 from repro.core.config import (
     BASIC_2PC,
@@ -25,13 +22,11 @@ from repro.core.config import (
     PRESUMED_COMMIT,
     PRESUMED_NOTHING,
 )
-from repro.core.spec import ParticipantSpec, TransactionSpec
 from repro.errors import ConfigurationError
+from repro.faults.campaign import Trial, load_artifact, save_artifact
 from repro.faults.injector import CrashSite, FaultInjector, FaultPlan
 from repro.log.records import LogRecordType
-from repro.lrm.operations import write_op
 from repro.metrics.collector import MetricsCollector
-from repro.net.conversation import ConversationTracker
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
@@ -189,11 +184,12 @@ def test_flap_partitions_and_heals():
 
 def test_empty_engine_is_bit_identical_to_no_adversary():
     def signature(install_engine):
-        cluster, spec = _build_chaos_cell("PA", "baseline", 777)
+        trial = Trial(*_build_chaos_cell("PA", "baseline", 777))
+        cluster = trial.cluster
         if install_engine:
             ChaosEngine().install(cluster)
-        outcome, quiesced = _start_and_run(cluster, spec)
-        return (outcome, quiesced, cluster.simulator.now,
+        trial.run()
+        return (trial.outcome, trial.quiesced, cluster.simulator.now,
                 cluster.simulator.events_processed,
                 cluster.network.sent, cluster.network.delivered)
     assert signature(False) == signature(True)
@@ -351,50 +347,6 @@ def test_fault_injector_validates_on_apply():
 
 
 # ----------------------------------------------------------------------
-# ConversationTracker under delivery chaos
-# ----------------------------------------------------------------------
-def _two_node_spec(long_locks=False):
-    return TransactionSpec(participants=[
-        ParticipantSpec(node="a", ops=[write_op("x", 1)]),
-        ParticipantSpec(node="b", parent="a", ops=[write_op("y", 1)])],
-        long_locks=long_locks)
-
-
-def test_tracker_no_false_positives_under_delivery_chaos():
-    """Duplicated and reordered deliveries must not corrupt the
-    session-state reconstruction: the tracker watches sends, and what
-    the sender put on the wire is unchanged."""
-    config = PRESUMED_ABORT.with_options(long_locks=True)
-    cluster = Cluster(config, nodes=["a", "b"])
-    ChaosEngine(ChaosSchedule([
-        {"kind": "duplicate", "nth": 2, "copies": 2, "gap": 0.5},
-        {"kind": "reorder", "nth": 4, "extra": 3.0},
-    ])).install(cluster)
-    tracker = ConversationTracker().attach(cluster)
-    cluster.run_transaction(_two_node_spec(long_locks=True))
-    cluster.run_until(cluster.simulator.now + 30.0)
-    tracker.assert_clean()
-    baseline_messages = tracker.session("a", "b").messages
-    tracker.detach()
-    tracker.detach()  # idempotent
-    cluster.send_application_data("a", "b")
-    assert tracker.session("a", "b").messages == baseline_messages
-
-
-def test_tracker_still_catches_real_violation_under_chaos():
-    config = PRESUMED_ABORT.with_options(long_locks=True)
-    cluster = Cluster(config, nodes=["a", "b"])
-    ChaosEngine(ChaosSchedule([
-        {"kind": "duplicate", "nth": 3, "copies": 1, "gap": 0.3},
-    ])).install(cluster)
-    tracker = ConversationTracker().attach(cluster)
-    cluster.run_transaction(_two_node_spec(long_locks=True))
-    # The coordinator barges in instead of waiting in RECEIVE state.
-    cluster.send_application_data("a", "b")
-    assert len(tracker.violations) == 1
-
-
-# ----------------------------------------------------------------------
 # Campaign
 # ----------------------------------------------------------------------
 def test_small_campaign_clean_and_parallel_bit_identical():
@@ -430,11 +382,10 @@ def test_chaos_spec_variants():
 # ----------------------------------------------------------------------
 def test_artifact_round_trip(tmp_path):
     schedule = [{"kind": "hold", "nth": 3, "extra": 32.261}]
-    artifact = build_chaos_artifact("PA", "last-agent", 2095662085,
-                                    schedule, "violations", ["[R7] ..."],
-                                    spec=chaos_spec("PA", "last-agent"))
-    path = save_chaos_artifact(artifact, str(tmp_path))
-    loaded = load_chaos_artifact(path)
+    path = save_artifact(str(tmp_path), "chaos", "PA", "last-agent",
+                         2095662085, {"schedule": schedule}, "violations",
+                         ["[R7] ..."], spec=chaos_spec("PA", "last-agent"))
+    loaded = load_artifact(path, "chaos")
     assert loaded["schedule"] == schedule
     assert loaded["config"] == "PA" and loaded["seed"] == 2095662085
     assert loaded["spec"]["participants"][3]["last_agent"]
@@ -444,11 +395,11 @@ def test_load_rejects_foreign_artifacts(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"kind": "torture-site-failure"}))
     with pytest.raises(ValueError, match="not a chaos artifact"):
-        load_chaos_artifact(str(path))
+        load_artifact(str(path), "chaos")
     path.write_text(json.dumps({"kind": "chaos-schedule-failure",
                                 "version": 99}))
     with pytest.raises(ValueError, match="version"):
-        load_chaos_artifact(str(path))
+        load_artifact(str(path), "chaos")
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +427,7 @@ def test_campaign_catches_and_shrinks_duplicate_decision_bug(
     # The artifact replays to the same failure while the bug is in.
     artifacts = sorted(tmp_path.glob("chaos-*.json"))
     assert artifacts
-    loaded = load_chaos_artifact(str(artifacts[0]))
+    loaded = load_artifact(str(artifacts[0]), "chaos")
     assert len(loaded["schedule"]) <= 3
     replayed = replay_chaos_artifact(loaded)
     assert not replayed.ok
@@ -505,9 +456,9 @@ def test_cli_chaos_smoke(capsys):
 
 def test_cli_chaos_replay(tmp_path, capsys):
     from repro.cli import main
-    artifact = build_chaos_artifact(
-        "PA", "last-agent", 2095662085,
-        [{"kind": "hold", "nth": 3, "extra": 32.261}], "violations", [])
-    path = save_chaos_artifact(artifact, str(tmp_path))
+    path = save_artifact(
+        str(tmp_path), "chaos", "PA", "last-agent", 2095662085,
+        {"schedule": [{"kind": "hold", "nth": 3, "extra": 32.261}]},
+        "violations", [])
     assert main(["chaos", "--replay", path]) == 0
     assert "ok" in capsys.readouterr().out

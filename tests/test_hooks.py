@@ -15,7 +15,6 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.config import PRESUMED_ABORT
 from repro.faults.injector import CrashSite
-from repro.net.conversation import ConversationTracker
 from repro.obs import (ConformanceAuditor, CostLedger, JournalRecorder,
                        MetricsRegistry, SimTimeSeries, SpanTracer)
 from repro.torture.sites import ArmedCrash, SiteRecorder
@@ -124,7 +123,6 @@ SIM_OBSERVERS = {
     "ConformanceAuditor": (ConformanceAuditor,
                            lambda cluster: (_ledger_of(cluster),)),
     "SimTimeSeries": (SimTimeSeries, lambda cluster: ()),
-    "ConversationTracker": (ConversationTracker, lambda cluster: ()),
 }
 
 

@@ -1,4 +1,4 @@
-"""Flight-recorder journal, causal DAG, divergence differ, watchdogs.
+"""Flight-recorder journal, causal edges, divergence differ, watchdogs.
 
 The journal is the oracle plane for the deployment twin: it must (a)
 record every flow / log write / force / lock event with correct causal
@@ -19,7 +19,6 @@ from repro.cli import main as cli_main
 from repro.core.cluster import Cluster
 from repro.core.config import BASIC_2PC, PRESUMED_ABORT
 from repro.obs import (
-    CausalGraph,
     CostLedger,
     JournalEntry,
     JournalRecorder,
@@ -27,7 +26,6 @@ from repro.obs import (
     SpanTracer,
     RunReport,
     Watchdog,
-    build_causal_graph,
     diff_journals,
     journal_from_jsonl,
     journal_to_jsonl,
@@ -42,6 +40,19 @@ from repro.sim.events import WheelEventQueue
 from repro.sim.kernel import Simulator
 from tests.heap_queue import HeapEventQueue
 from tests.conftest import updating_spec
+
+
+def happens_before(by_eid, earlier, later):
+    """Is entry ``earlier`` a causal ancestor of entry ``later``?"""
+    stack, seen = [later], set()
+    while stack:
+        for parent in by_eid[stack.pop()].parents:
+            if parent == earlier:
+                return True
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return False
 
 
 @pytest.fixture
@@ -157,10 +168,9 @@ class TestJournalRecorder:
                          and e.ref == wait.ref and e.eid > wait.eid)
             assert wait.eid in grant.parents
             # The loser's grant causally follows the winner's release.
-            graph = build_causal_graph(entries)
             releases = [e.eid for e in entries if e.kind == "release"
                         and e.ref == wait.ref and e.txn != wait.txn]
-            assert any(graph.happens_before(r, grant.eid)
+            assert any(happens_before(by_eid, r, grant.eid)
                        for r in releases)
         assert by_eid  # silence unused warning on small runs
 
@@ -455,62 +465,6 @@ class TestJournalRows:
                                     parents=[0, 1, 2]))
         with pytest.raises(ValueError, match="3 parents"):
             JournalRows().extend(crowded, {})
-
-
-# ----------------------------------------------------------------------
-# Causal DAG
-# ----------------------------------------------------------------------
-class TestCausalGraph:
-    def test_linearize_respects_parents(self):
-        entries, __ = record_simple_run()
-        graph = build_causal_graph(entries)
-        order = {e.eid: i for i, e in enumerate(graph.linearize())}
-        assert len(order) == len(entries)
-        for entry in entries:
-            for parent in entry.parents:
-                assert order[parent] < order[entry.eid]
-
-    def test_happens_before_send_deliver(self):
-        entries, __ = record_simple_run(txns=1)
-        graph = build_causal_graph(entries)
-        deliver = next(e for e in entries if e.kind == "deliver")
-        send = next(p for p in deliver.parents
-                    if graph.entry(p).kind == "send")
-        assert graph.happens_before(send, deliver.eid)
-        assert not graph.happens_before(deliver.eid, send)
-
-    def test_txn_cone_covers_transaction(self):
-        entries, __ = record_simple_run(txns=2)
-        graph = build_causal_graph(entries)
-        txns = graph.txn_ids()
-        assert len(txns) == 2
-        cone = graph.txn_cone(txns[0])
-        own = [e.eid for e in entries if e.txn == txns[0]]
-        assert set(own) <= set(cone.by_eid)
-
-    def test_critical_path_is_a_causal_chain(self):
-        entries, __ = record_simple_run(txns=1)
-        graph = build_causal_graph(entries)
-        path = graph.critical_path()
-        assert len(path) > 5
-        for earlier, later in zip(path, path[1:]):
-            assert earlier.eid in later.parents
-
-    def test_cycle_detection(self):
-        cyclic = [
-            JournalEntry(0, 0.0, "send", "a", None, None, parents=[1]),
-            JournalEntry(1, 1.0, "send", "a", None, None, parents=[0]),
-        ]
-        with pytest.raises(ValueError, match="cycle"):
-            CausalGraph(cyclic).linearize()
-
-    def test_roots_have_no_parents(self):
-        entries, __ = record_simple_run(txns=1)
-        graph = build_causal_graph(entries)
-        roots = graph.roots()
-        assert roots
-        for eid in roots:
-            assert not graph.parents_of(eid)
 
 
 # ----------------------------------------------------------------------

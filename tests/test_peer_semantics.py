@@ -7,7 +7,9 @@ from repro.core.cluster import Cluster
 from repro.core.config import (BASIC_2PC, PRESUMED_ABORT, PRESUMED_COMMIT,
                                PRESUMED_NOTHING)
 from repro.core.spec import ParticipantSpec, TransactionSpec, flat_tree
+from repro.core.states import TxnState
 from repro.log.group_commit import GroupCommitPolicy
+from repro.log.records import LogRecordType
 from repro.lrm.operations import write_op
 from repro.net.message import MessageType
 
@@ -130,6 +132,68 @@ class TestAckTiming:
             PRESUMED_ABORT.with_options(early_ack=True))
         assert late_cluster.metrics.commit_flows() == \
             early_cluster.metrics.commit_flows()
+
+
+PRESUMPTIONS = pytest.mark.parametrize(
+    "config", [BASIC_2PC, PRESUMED_ABORT, PRESUMED_NOTHING, PRESUMED_COMMIT],
+    ids=["basic", "pa", "pn", "pc"])
+
+
+class TestAbortOvertakesVote:
+    """An ABORT that reaches a participant while its prepared force (or
+    its children's votes) is still pending.  An aborted participant
+    never becomes prepared, and a parent waiting for its vote hears NO
+    instead of waiting for good."""
+
+    def run_traced(self, config, participants):
+        cluster = Cluster(config, nodes=[p.node for p in participants])
+        sends, transitions = [], []
+        cluster.network.on_send.append(
+            lambda m: sends.append((m.msg_type, m.src, m.dst)))
+        for node in cluster.nodes.values():
+            node.on_transition.append(
+                lambda name, txn, old, new: transitions.append(
+                    (name, old, new)))
+        handle = cluster.run_transaction(
+            TransactionSpec(txn_id="t", participants=participants))
+        cluster.run_until(1000.0)
+        return cluster, handle, sends, transitions
+
+    @PRESUMPTIONS
+    def test_abort_overtaking_a_pending_prepare(self, config):
+        # n1 vetoes: its PREPARE and ABORT reach n2 in the same instant,
+        # so the ABORT lands while n2's prepared force is in flight.
+        cluster, handle, sends, transitions = self.run_traced(config, [
+            ParticipantSpec(node="n0", ops=[write_op("a", 1)]),
+            ParticipantSpec(node="n1", parent="n0", ops=[write_op("b", 1)],
+                            veto=True),
+            ParticipantSpec(node="n2", parent="n1", ops=[write_op("c", 1)]),
+        ])
+        assert handle.aborted
+        assert (MessageType.VOTE_YES, "n2", "n1") not in sends
+        done = (TxnState.ABORTING, TxnState.ABORTED, TxnState.FORGOTTEN)
+        assert not [t for t in transitions
+                    if t[1] in done and t[2] is TxnState.PREPARED]
+        for name, node in cluster.nodes.items():
+            aborted = [r for r in node.log.stable.records_for("t")
+                       if r.record_type is LogRecordType.ABORTED]
+            assert len(aborted) <= 1, name
+            assert not node.contexts, name
+
+    @PRESUMPTIONS
+    def test_abort_overtaking_a_cascaded_coordinators_votes(self, config):
+        # n1's NO aborts n0 while n2 still waits for n3's vote; n2 must
+        # answer NO, or n0 keeps its forgotten context waiting for it.
+        cluster, handle, sends, __ = self.run_traced(config, [
+            ParticipantSpec(node="n0", ops=[write_op("a", 1)]),
+            ParticipantSpec(node="n1", parent="n0", ops=[write_op("b", 1)],
+                            veto=True),
+            ParticipantSpec(node="n2", parent="n0", ops=[write_op("c", 1)]),
+            ParticipantSpec(node="n3", parent="n2", ops=[write_op("d", 1)]),
+        ])
+        assert handle.aborted
+        assert (MessageType.VOTE_NO, "n2", "n0") in sends
+        assert all(not node.contexts for node in cluster.nodes.values())
 
 
 class TestGroupCommitIntegration:

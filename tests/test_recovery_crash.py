@@ -286,6 +286,28 @@ class TestCascadedCoordinatorCrash:
         checker.check_atomicity(spec.txn_id)
         checker.assert_clean()
 
+    @pytest.mark.parametrize("config", [PRESUMED_NOTHING, PRESUMED_COMMIT],
+                             ids=["pn", "pc"])
+    def test_updating_cascade_restarts_holding_its_locks(self, config):
+        """Restarting in doubt, an undecided cascaded coordinator holds
+        its updates' locks like any in-doubt participant (rule RL)."""
+        from repro.lrm.operations import write_op
+        cluster, checker, spec = self._chain(config)
+        spec.participants[1].ops = [write_op("k-n1", 1)]
+        # After n1's initiation force, before its own vote.
+        cluster.crash_at("n1", 6.0)
+
+        def restart():
+            cluster.restart("n1")
+            assert cluster.node("n1").ctx(spec.txn_id).rebuilt_from_log
+            checker.check_recovery_locks("n1")
+
+        cluster.simulator.at(11.0, restart)
+        cluster.start_transaction(spec)
+        cluster.run_until(600.0)
+        checker.check_atomicity(spec.txn_id)
+        checker.assert_clean()
+
     def test_read_only_participant_acks_recovery_outcome(self):
         """A dropped-out read-only participant must answer a recovery
         OUTCOME so the sender's retry loop terminates (and that ack is

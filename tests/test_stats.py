@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import bootstrap_ci, mean, normal_ci, stddev
-from repro.sim.randomness import RandomStream
+from repro.analysis.stats import mean, normal_ci, stddev
 
 
 def test_mean_and_stddev():
@@ -17,8 +16,6 @@ def test_empty_rejected():
         mean([])
     with pytest.raises(ValueError):
         normal_ci([])
-    with pytest.raises(ValueError):
-        bootstrap_ci([], RandomStream(0))
 
 
 def test_stddev_degenerate_cases():
@@ -38,20 +35,6 @@ def test_normal_ci_contains_mean_and_shrinks_with_n():
 def test_normal_ci_zero_spread():
     summary = normal_ci([7.0] * 10)
     assert summary.low == summary.high == summary.mean == 7.0
-
-
-def test_bootstrap_ci_reasonable_and_deterministic():
-    values = [1.0, 2.0, 3.0, 4.0, 5.0] * 6
-    first = bootstrap_ci(values, RandomStream(9), resamples=300)
-    second = bootstrap_ci(values, RandomStream(9), resamples=300)
-    assert first == second
-    assert first.low <= first.mean <= first.high
-    assert 2.0 <= first.low and first.high <= 4.0
-
-
-def test_bootstrap_confidence_validation():
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0], RandomStream(0), confidence=1.5)
 
 
 def test_summary_str():

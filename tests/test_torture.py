@@ -13,26 +13,26 @@ from repro.faults.injector import (
 from repro.metrics.collector import MetricsCollector
 from repro.net.message import Message, MessageType
 from repro.net.network import NetworkError
+from repro.faults.campaign import (
+    HORIZON,
+    MAX_EVENTS,
+    load_artifact,
+    save_artifact,
+)
 from repro.torture import (
     arm_crash,
-    build_artifact,
-    load_artifact,
     record_sites,
     replay_artifact,
     run_cell,
     run_site,
-    save_artifact,
-    spec_from_dict,
-    spec_to_dict,
     torture_sweep,
 )
 from repro.torture.harness import (
-    HORIZON,
-    MAX_EVENTS,
     RESTART_DELAY,
     _build_cell,
     cell_spec,
 )
+from repro.transport.wire import spec_from_wire, spec_to_wire
 from repro.verify import ProtocolChecker
 
 
@@ -148,13 +148,11 @@ def test_silent_relock_loss_is_caught(monkeypatch, tmp_path):
 
     # The failing site round-trips through a replayable artifact.
     failing = result.failures[0]
-    artifact = build_artifact("PA", "missing-rm", 0,
-                              failing.site.to_dict(), failing.when,
-                              failing.verdict, failing.violations,
-                              spec=cell_spec("PA", "missing-rm"))
-    path = save_artifact(artifact, str(tmp_path))
-    loaded = load_artifact(path)
-    assert spec_to_dict(spec_from_dict(loaded["spec"])) == loaded["spec"]
+    path = save_artifact(str(tmp_path), "torture", "PA", "missing-rm", 0,
+                         failing.fault, failing.verdict, failing.violations,
+                         spec=cell_spec("PA", "missing-rm"))
+    loaded = load_artifact(path, "torture")
+    assert spec_to_wire(spec_from_wire(loaded["spec"])) == loaded["spec"]
     replayed = replay_artifact(loaded)
     assert replayed.verdict == failing.verdict
     assert replayed.violations == failing.violations
@@ -164,7 +162,7 @@ def test_load_artifact_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"kind": "benchmark", "version": 1}')
     with pytest.raises(ValueError):
-        load_artifact(str(path))
+        load_artifact(str(path), "torture")
 
 
 # ----------------------------------------------------------------------

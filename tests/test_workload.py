@@ -17,7 +17,6 @@ from repro.workload.trees import (
     balanced_tree_spec,
     chain_spec,
     flat_spec,
-    random_tree_spec,
 )
 
 
@@ -41,13 +40,6 @@ class TestTrees:
         assert spec.participant("n3").parent == "n1"
         with pytest.raises(ValueError):
             balanced_tree_spec(NODES, fanout=0)
-
-    def test_random_tree_valid_and_deterministic(self):
-        a = random_tree_spec(NODES, RandomStream(5))
-        b = random_tree_spec(NODES, RandomStream(5))
-        assert [p.parent for p in a.participants] == \
-            [p.parent for p in b.participants]
-        a.validate()
 
     def test_no_update_variant(self):
         spec = flat_spec(NODES, updates=False)
