@@ -338,24 +338,25 @@ def run_twin_gate() -> int:
 
 
 def run_live_torture_gate() -> int:
-    """Live crash-restart survival gate: kill real nodes at the
-    coordinator/subordinate decision- and vote-force sites (plus
-    mid-checkpoint), restart them from their WALs after a real outage,
-    and require every cell to settle with checker rules clean, zero
-    stranded in-doubt transactions and fsync accounting intact.  The
-    no-fault control cells run the full deployment twin, so their
-    live-vs-replay journal diff must be empty.  No tolerance; skips
-    (with the classified reason) only when the sandbox has no
-    loopback networking."""
-    from repro.transport import loopback_status, run_live_torture
-    print("== live crash-restart torture (kill -> WAL restart -> "
-          "settle) ==")
+    """Live crash-restart survival gate: the crash-site campaign on real
+    sockets.  Every forced write of each presumption's clean live run
+    (the checkpoint's included) is replayed pre and post: the node is
+    killed there, restarted from its WAL after a real outage, and
+    every transaction of the run must be judged ok by the campaign
+    verdict plus the fsync rule.  Each cell's clean run is
+    twin-checked too.  No tolerance; skips (with the classified
+    reason) only when the sandbox has no loopback networking."""
+    from repro.transport import loopback_status
+    from repro.transport.torture import run_live_torture
+    print("== live crash-restart torture (force sites -> kill -> WAL "
+          "restart -> judge) ==")
     available, reason = loopback_status()
     if not available:
         print(f"  SKIPPED: loopback networking unavailable ({reason})")
         return 0
     report = run_live_torture()
     print(report.describe())
+    print(f"  {report.total_runs} live replays")   # wall: timed() below
     return 0 if report.clean else 1
 
 
@@ -482,10 +483,9 @@ def main(argv=None) -> int:
     parser.add_argument("--live-torture", action="store_true",
                         help="also run the live crash-restart torture "
                              "sweep (repro-2pc live-torture): kill "
-                             "nodes at decision/vote/checkpoint force "
-                             "sites on real sockets, restart from WAL, "
-                             "require clean settlement — zero "
-                             "tolerance")
+                             "nodes at every recorded force site on "
+                             "real sockets, restart from WAL, judge "
+                             "every transaction — zero tolerance")
     parser.add_argument("--retention", action="store_true",
                         help="run only the retention gate (every "
                              "default run makes the same checks, in the "

@@ -22,6 +22,7 @@ Usage::
                   [--json]
     repro-2pc serve [--config NAME] [--nodes a,b,c] [--host H]
                     [--base-port P] [--log-dir DIR]
+    repro-2pc live-torture [--configs ...] [--seed S] [--json]
     repro-2pc list-profiles
 """
 
@@ -440,50 +441,6 @@ def _run_live(name: str, seed: int, txns: int, log_dir: Optional[str],
     return 0 if clean else 1
 
 
-def _run_live_torture(seed: int, txns: int, protocols: Optional[str],
-                      sites: Optional[str], outage: float,
-                      as_json: bool) -> int:
-    """Sweep live crash sites and require full recovery
-    (``repro-2pc live-torture``).  Exit 0 only when every cell settles
-    with checker rules clean, zero stranded in-doubt transactions and
-    fsync accounting intact."""
-    import json as _json
-
-    from repro.transport import (SITES, TWIN_PROTOCOLS, loopback_status,
-                                 run_live_torture)
-
-    available, reason = loopback_status()
-    if not available:
-        print(f"loopback networking unavailable ({reason}); "
-              "cannot run live-torture", file=sys.stderr)
-        return 2
-    chosen_protocols = None
-    if protocols is not None:
-        chosen_protocols = [p.strip() for p in protocols.split(",")
-                            if p.strip()]
-        unknown = [p for p in chosen_protocols if p not in TWIN_PROTOCOLS]
-        if unknown:
-            print(f"unknown protocol(s) {', '.join(unknown)}; expected "
-                  f"{', '.join(TWIN_PROTOCOLS)}", file=sys.stderr)
-            return 2
-    chosen_sites = None
-    if sites is not None:
-        chosen_sites = [s.strip() for s in sites.split(",") if s.strip()]
-        unknown = [s for s in chosen_sites if s not in SITES]
-        if unknown:
-            print(f"unknown site(s) {', '.join(unknown)}; expected "
-                  f"{', '.join(SITES)}", file=sys.stderr)
-            return 2
-    report = run_live_torture(seed=seed, txns=txns,
-                              protocols=chosen_protocols,
-                              sites=chosen_sites, outage=outage)
-    if as_json:
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.describe())
-    return 0 if report.clean else 1
-
-
 def _run_serve(config_name: str, nodes: str, host: str, base_port: int,
                seed: int, log_dir: Optional[str],
                admin_port: Optional[int] = 0,
@@ -599,30 +556,44 @@ def _run_top(connect: Optional[str], journal: Optional[str], once: bool,
 
 
 def _run_campaign(args) -> int:
-    """``torture`` / ``chaos``: sweep the grid, or replay one artifact."""
+    """``torture`` / ``chaos`` / ``live-torture``: sweep the grid, or
+    replay one artifact."""
     import json
     from repro.faults.campaign import load_artifact
-    if args.command == "torture":
-        from repro.torture import replay_artifact as replay
-        from repro.torture import torture_sweep
-        sweep = partial(torture_sweep, max_sites=args.max_sites)
+    replay_path = getattr(args, "replay", None)
+    if args.command == "live-torture":
+        from repro.transport import loopback_status
+        from repro.transport.torture import run_live_torture
+        available, reason = loopback_status()
+        if not available:
+            print(f"loopback networking unavailable ({reason}); "
+                  "cannot run live-torture", file=sys.stderr)
+            return 2
+        sweep = partial(run_live_torture, configs=args.configs,
+                        seed=args.seed)
     else:
-        from repro.chaos import replay_chaos_artifact as replay
-        from repro.chaos import run_chaos_campaign
-        sweep = partial(run_chaos_campaign, schedules=args.schedules)
-    if args.replay is not None:
-        result = replay(load_artifact(args.replay, args.command))
+        if args.command == "torture":
+            from repro.torture import replay_artifact as replay
+            from repro.torture import torture_sweep
+            grid = partial(torture_sweep, max_sites=args.max_sites)
+        else:
+            from repro.chaos import replay_chaos_artifact as replay
+            from repro.chaos import run_chaos_campaign
+            grid = partial(run_chaos_campaign, schedules=args.schedules)
+        sweep = partial(grid, configs=args.configs, variants=args.variants,
+                        seed=args.seed, workers=args.workers,
+                        artifact_dir=args.artifacts)
+    if replay_path is not None:
+        result = replay(load_artifact(replay_path, args.command))
         passed = result.ok
     else:
-        result = sweep(configs=args.configs, variants=args.variants,
-                       seed=args.seed, workers=args.workers,
-                       artifact_dir=args.artifacts)
+        result = sweep()
         passed = result.clean
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
         print(result.describe())
-        if args.replay is not None:
+        if replay_path is not None:
             for violation in result.violations:
                 print(f"  {violation}")
     return 0 if passed else 1
@@ -973,28 +944,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: no periodic checkpoints)")
 
     live_torture = sub.add_parser(
-        "live-torture", help="kill and WAL-restart live nodes at the "
-                             "paper's crash sites (coordinator pre/post "
-                             "decision, subordinate pre/post vote, "
-                             "mid-checkpoint) across every protocol; "
-                             "exit 0 only if every cell recovers with "
-                             "checker rules clean, no stranded in-doubt "
-                             "txns and fsync accounting intact")
+        "live-torture", help="the crash-site torture campaign on real "
+                             "sockets: record every forced write of a "
+                             "live run, then kill the node at each one "
+                             "(pre and post) and restart it from its "
+                             "WAL; exit 0 only if every replay is "
+                             "judged ok and every clean run is "
+                             "twin-checked clean")
+    live_torture.add_argument("--configs", nargs="+", choices=CONFIG_NAMES,
+                              default=None,
+                              help="presumption configs (default: all "
+                                   "four)")
     live_torture.add_argument("--seed", type=int, default=17,
                               help="workload seed (default 17)")
-    live_torture.add_argument("--txns", type=int, default=3,
-                              help="transactions per cell (default 3)")
-    live_torture.add_argument("--protocols", default=None,
-                              help="comma-separated protocol subset "
-                                   "(default: all four)")
-    live_torture.add_argument("--sites", default=None,
-                              help="comma-separated crash-site subset "
-                                   "(default: all, incl. the no-fault "
-                                   "twin-checked control)")
-    live_torture.add_argument("--outage", type=float, default=0.05,
-                              help="seconds a killed node stays down "
-                                   "before its WAL restart (default "
-                                   "0.05)")
     live_torture.add_argument("--json", action="store_true",
                               help="emit the report as JSON")
 
@@ -1062,7 +1024,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           max_nodes=args.max_nodes)
         print(report.describe())
         return 0 if report.clean else 1
-    if args.command in ("torture", "chaos"):
+    if args.command in ("torture", "chaos", "live-torture"):
         return _run_campaign(args)
     if args.command == "journal":
         return _run_journal(args.name, args.out, args.watchdog,
@@ -1081,9 +1043,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           journal_path=args.journal,
                           drain_timeout=args.drain_timeout,
                           checkpoint_interval=args.checkpoint_interval)
-    if args.command == "live-torture":
-        return _run_live_torture(args.seed, args.txns, args.protocols,
-                                 args.sites, args.outage, args.json)
     if args.command == "top":
         return _run_top(args.connect, args.journal, args.once,
                         args.interval)

@@ -9,7 +9,7 @@ need: run one transaction to quiescence, run chained transactions
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import PRESUMED_ABORT, ProtocolConfig
 from repro.core.handle import TransactionHandle
@@ -114,8 +114,14 @@ class Cluster:
     def crash(self, node_name: str) -> None:
         self.nodes[node_name].crash()
 
-    def restart(self, node_name: str) -> None:
+    def restart(self, node_name: str,
+                then: Optional[Callable[[], None]] = None) -> None:
+        """Restart recovery for ``node_name``; ``then`` runs right after
+        it (the same pair :class:`~repro.transport.live.LiveCluster`
+        provides)."""
         self.nodes[node_name].restart()
+        if then is not None:
+            then()
 
     def crash_at(self, node_name: str, time: float) -> None:
         self.simulator.at(time, lambda: self.nodes[node_name].crash(),
@@ -124,21 +130,6 @@ class Cluster:
     def restart_at(self, node_name: str, time: float) -> None:
         self.simulator.at(time, lambda: self.nodes[node_name].restart(),
                           name=f"restart:{node_name}")
-
-    def crash_at_site(self, site, when: str = "pre",
-                      restart_after: Optional[float] = None):
-        """Crash a node exactly at a deterministic protocol action.
-
-        ``site`` is a :class:`~repro.faults.injector.CrashSite`
-        (recorded by :class:`~repro.torture.sites.SiteRecorder` on a
-        clean run of the same seed); ``when`` picks the pre/post side
-        of the site's effect.  Returns the armed monitor so callers can
-        check whether (and when) it fired.  The site can only be hit
-        from inside a simulator event, so start the workload via
-        ``simulator.call_soon`` rather than synchronously.
-        """
-        from repro.torture.sites import arm_crash
-        return arm_crash(self, site, when=when, restart_after=restart_after)
 
     def partition(self, a: str, b: str) -> None:
         self.network.partition(a, b)

@@ -9,7 +9,7 @@ transaction, and the handle given to the application at the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.handle import HeuristicReport, TransactionHandle
 from repro.core.spec import ParticipantSpec, TransactionSpec
@@ -76,6 +76,9 @@ class CommitContext:
     #: The prepared force (or delegation) is already in flight;
     #: guards against re-entrant vote evaluation.
     self_prepare_started = False
+    #: Late YES voters ``on_vote`` already answered with ABORT while
+    #: this node's own abort was still on its way to them.
+    abort_answered: FrozenSet[str] = frozenset()
     #: Long-locks coordinators defer local commit (and lock release)
     #: until the piggybacked acks arrive.
     hold_locals_until_acks = False

@@ -301,7 +301,10 @@ class DecisionMixin:
             and context.logged_anything
 
         def aborted_durable() -> None:
-            targets = context.yes_children()
+            # A child whose YES arrived while this abort was being
+            # logged already got its ABORT from on_vote.
+            targets = [child for child in context.yes_children()
+                       if child not in context.abort_answered]
             if not context.expected_votes:
                 # Phase one never ran here (aborted while still doing
                 # the work): pass the abort on to the enrolled subtree.

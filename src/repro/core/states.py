@@ -41,9 +41,3 @@ class TxnState(Enum):
     @property
     def in_doubt(self) -> bool:
         return self is TxnState.PREPARED
-
-    @property
-    def decided(self) -> bool:
-        return self in (TxnState.COMMITTING, TxnState.ABORTING,
-                        TxnState.COMMITTED, TxnState.ABORTED,
-                        TxnState.FORGOTTEN)

@@ -273,6 +273,7 @@ class VotingMixin:
             # NO first).  A YES voter is in doubt and needs the abort.
             if vote is Vote.YES and context.outcome == "abort":
                 context.contacted.add(message.src)
+                context.abort_answered |= {message.src}
                 self.send(MessageType.ABORT, message.src, message.txn_id)
             if context.state is TxnState.FORGOTTEN and \
                     not context.votes_outstanding():

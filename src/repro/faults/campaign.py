@@ -1,4 +1,4 @@
-"""One fault campaign for the simulator: torture, chaos and fuzz.
+"""One fault campaign: torture, chaos and fuzz, on two substrates.
 
 The three simulator fault harnesses differ only in their fault source:
 crash sites (:mod:`repro.torture`), adversary schedules
@@ -20,7 +20,11 @@ Every run gets every check, whatever injected its faults:
 * the root's commit operation completes, unless the root crashed.
 
 Cells build their whole world from their arguments, so serial and
-parallel sweeps are bit-identical.
+parallel sweeps are bit-identical.  Live torture
+(:mod:`repro.transport.torture`) is the same crash-site campaign on
+real sockets and WAL restarts; it reports through the same
+:class:`Run`/:class:`Cell`/:class:`Report` and judges every
+transaction with the same :func:`judge`.
 """
 
 from __future__ import annotations
@@ -272,6 +276,11 @@ class Trial:
         handle = self._handles[0] if self._handles else None
         return handle.outcome if handle is not None and handle.done else None
 
+    @property
+    def stall(self) -> List[str]:
+        """Why the run did not quiesce (read only when it did not)."""
+        return [f"run did not quiesce within {MAX_EVENTS} events"]
+
     def result(self, label: str, fault: Dict, fired: bool = True) -> Run:
         verdict, violations = judge(self, fired)
         return Run(label, fault, verdict, violations, self.outcome)
@@ -280,9 +289,12 @@ class Trial:
 def judge(trial: Trial, fired: bool = True) -> Tuple[str, List[str]]:
     """The verdict on a finished run: (verdict, violations).
 
-    ``fired`` says whether the run's armed fault happened at all.
-    ``ok`` comes with no violations, and every other verdict with at
-    least one.
+    ``trial`` is a :class:`Trial` or anything that reads like one for a
+    single transaction — ``cluster``, ``checker``, ``spec``,
+    ``outcome``, ``quiesced`` and ``stall`` (the live substrate's is in
+    :mod:`repro.transport.torture`).  ``fired`` says whether the run's
+    armed fault happened at all.  ``ok`` comes with no violations, and
+    every other verdict with at least one.
     """
     cluster, checker = trial.cluster, trial.checker
     txn_id = trial.spec.txn_id
@@ -293,8 +305,7 @@ def judge(trial: Trial, fired: bool = True) -> Tuple[str, List[str]]:
     violations += _durable_agreement(cluster, txn_id)
     violations += _durable_idempotence(cluster, txn_id)
     if not trial.quiesced:
-        return "no-quiescence", violations + [
-            f"run did not quiesce within {MAX_EVENTS} events"]
+        return "no-quiescence", violations + trial.stall
     if not fired:
         return "not-fired", violations + ["the armed fault never fired"]
     if violations:

@@ -236,12 +236,12 @@ class FaultInjector:
         self._loss_installed = False
 
     def apply(self, plan: FaultPlan) -> None:
+        from repro.torture.sites import arm_crash
         plan.validate()
         for crash in plan.crashes:
             if crash.site is not None:
-                self.cluster.crash_at_site(
-                    crash.site, when=crash.when,
-                    restart_after=crash.restart_after)
+                arm_crash(self.cluster, crash.site, when=crash.when,
+                          restart_after=crash.restart_after)
                 continue
             self.cluster.crash_at(crash.node, crash.at)
             if crash.restart_at is not None:

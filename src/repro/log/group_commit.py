@@ -33,9 +33,5 @@ class GroupCommitPolicy:
         if self.timeout is not None and self.timeout < 0:
             raise ValueError(f"timeout must be >= 0, got {self.timeout}")
 
-    @property
-    def batching_enabled(self) -> bool:
-        return self.group_size > 1 or self.timeout is not None
-
 
 IMMEDIATE = GroupCommitPolicy(group_size=1, timeout=None)

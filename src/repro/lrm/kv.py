@@ -67,10 +67,6 @@ class KVStore:
         """Apply a committed value during crash recovery (no undo kept)."""
         self._data[key] = value
 
-    def undo_writes(self, txn_id: str) -> None:
-        """Alias used by crash recovery for clarity at the call site."""
-        self.abort(txn_id)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -128,9 +128,6 @@ class RunReport:
                 report.notes.append(f"watchdog {finding.describe()}")
         return report
 
-    def add_distribution(self, name: str, histogram: Histogram) -> None:
-        self.distributions[name] = histogram
-
     # ------------------------------------------------------------------
     # Rendering / serialisation
     # ------------------------------------------------------------------

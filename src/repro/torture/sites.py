@@ -26,11 +26,17 @@ Two classes implement the two phases:
   ========  =====================  =====================================
 
 The crash itself rides :class:`~repro.sim.kernel.EventInterrupt`: the
-hook raises it, the kernel abandons the rest of the current event, and
-the node's ``crash()`` runs with no half-event executing on a dead
-node.  Consequently a site can only fire from inside a simulator
-event — drive the workload via ``simulator.call_soon``, never by
-calling into the cluster synchronously while a site is armed.
+hook raises it, the event loop abandons the rest of the current event,
+and the cluster's ``crash(name)`` runs with no half-event executing on
+a dead node; ``restart(name, then)`` brings it back.  Both substrates
+provide that pair: the simulated :class:`~repro.core.cluster.Cluster`
+(in-memory log, synchronous restart) and the live
+:class:`~repro.transport.live.LiveCluster` (sockets closed, restart
+recovery from the WAL on disk), whose clock and frame reader honour
+the interrupt exactly as the simulator kernel does.  Consequently a
+site can only fire from inside an event — drive the workload via
+``simulator.call_soon``, never by calling into the cluster
+synchronously while a site is armed.
 """
 
 from __future__ import annotations
@@ -97,11 +103,11 @@ class SiteRecorder(Observer):
 class ArmedCrash(Observer):
     """Crash ``site.node`` exactly at the armed site (one-shot).
 
-    ``on_crash`` runs right after the node's ``crash()`` (still inside
-    the interrupted event's cleanup); ``on_restart`` runs right after
-    ``restart()`` finishes restart recovery — the window in which
-    recovery-lock invariants are checkable before the simulator runs
-    on.  Firing detaches it.
+    ``on_crash`` runs right after the cluster's ``crash(name)`` (still
+    inside the interrupted event's cleanup); ``on_restart`` runs right
+    after ``restart(name)`` finishes restart recovery — the window in
+    which recovery-lock invariants are checkable before the protocol
+    runs on.  Firing detaches it.
     """
 
     def __init__(self, site: CrashSite, when: str = "pre",
@@ -211,21 +217,17 @@ class ArmedCrash(Observer):
         raise EventInterrupt(on_interrupt=self._crash)
 
     def _crash(self) -> None:
-        node = self.cluster.nodes[self.site.node]
-        simulator = self.cluster.simulator
+        cluster = self.cluster
+        name = self.site.node
         self.detach()
-        node.crash()
+        cluster.crash(name)
         if self.on_crash is not None:
             self.on_crash()
         if self.restart_after is not None:
-            simulator.at(simulator.now + self.restart_after,
-                         partial(self._restart, node),
-                         name=f"torture-restart:{self.site.node}")
-
-    def _restart(self, node) -> None:
-        node.restart()
-        if self.on_restart is not None:
-            self.on_restart()
+            cluster.simulator.schedule(
+                self.restart_after,
+                partial(cluster.restart, name, self.on_restart),
+                name=f"torture-restart:{name}")
 
 
 def arm_crash(cluster, site: CrashSite, when: str = "pre",

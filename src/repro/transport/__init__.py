@@ -9,23 +9,21 @@ wire (:class:`~repro.transport.tcp.TcpTransport` under
 oracle (:mod:`repro.transport.twin`) that proves a live run causally
 equivalent to its deterministic replay, and the crash-survival layer:
 supervised links with reconnect backoff (:mod:`repro.transport.tcp`),
-WAL-driven node restart (:mod:`repro.transport.restart`), live fault
-injection (:mod:`repro.transport.faults`) and the live torture gate
-(:mod:`repro.transport.torture`).  See ``docs/DEPLOYMENT.md``.
+WAL-driven node restart (:mod:`repro.transport.restart`) and live
+torture (:mod:`repro.transport.torture`, imported on its own since it
+brings the fault campaign along): the simulator's crash-site campaign
+run on this substrate, with :class:`~repro.torture.sites.ArmedCrash`
+calling ``LiveCluster.crash``/``restart``.  See ``docs/DEPLOYMENT.md``.
 """
 
 from repro.transport.admin import AdminServer
 from repro.transport.clock import ActivityTracker, LiveClock, ScheduledCall
-from repro.transport.faults import (ArmedLiveCrash, LiveFaultInjector,
-                                    SITE_KINDS)
 from repro.transport.live import (LiveCluster, LiveNetwork, ServeControl,
                                   serve)
-from repro.transport.restart import RestartInfo, kill_node, restart_node
+from repro.transport.restart import RestartInfo, restart_node
 from repro.transport.storage import (FileStableStorage, WalCorruptionError,
                                      load_records, scan_wal)
-from repro.transport.tcp import BackoffPolicy, DROP_FRAME, TcpTransport
-from repro.transport.torture import (LiveTortureReport, SITES, TortureCell,
-                                     run_live_torture, run_torture_cell)
+from repro.transport.tcp import BackoffPolicy, TcpTransport
 from repro.transport.twin import (DEFAULT_NODES, TWIN_PROTOCOLS,
                                   ScheduledNetwork, TwinReport,
                                   classify_socket_error, delivery_schedule,
@@ -38,28 +36,18 @@ __all__ = [
     "AdminServer",
     "LiveClock",
     "ScheduledCall",
-    "ArmedLiveCrash",
-    "LiveFaultInjector",
-    "SITE_KINDS",
     "LiveCluster",
     "LiveNetwork",
     "ServeControl",
     "serve",
     "RestartInfo",
-    "kill_node",
     "restart_node",
     "FileStableStorage",
     "WalCorruptionError",
     "load_records",
     "scan_wal",
     "BackoffPolicy",
-    "DROP_FRAME",
     "TcpTransport",
-    "LiveTortureReport",
-    "SITES",
-    "TortureCell",
-    "run_live_torture",
-    "run_torture_cell",
     "DEFAULT_NODES",
     "TWIN_PROTOCOLS",
     "ScheduledNetwork",

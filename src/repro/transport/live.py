@@ -111,6 +111,8 @@ class LiveCluster:
         #: Closed FileStableStorage handles of killed incarnations,
         #: kept so fsync accounting carries across restarts.
         self._retired_storage: Dict[str, FileStableStorage] = {}
+        #: The latest kill teardown or restart task per node.
+        self._fault_tasks: Dict[str, "asyncio.Task"] = {}
         for name in nodes:
             self.add_node(name)
 
@@ -138,6 +140,7 @@ class LiveCluster:
         return {name: self.transport.address(name) for name in self.nodes}
 
     async def stop(self) -> None:
+        await self.wait_faults()
         # A cancelled serve (or abrupt test teardown) can reach here
         # with a log force still in flight; let tracked work land so
         # its write doesn't hit a closed WAL handle.
@@ -154,29 +157,66 @@ class LiveCluster:
             stable.close()
 
     # ------------------------------------------------------------------
-    # Kill / restart (the live fault surface; see repro.transport.restart)
+    # Crash / restart: the substrate pair torture.sites.ArmedCrash drives
+    # (the simulated Cluster provides the same two calls)
     # ------------------------------------------------------------------
     def wal_path(self, name: str) -> str:
         if self.log_dir is None:
             raise ConfigurationError("cluster has no log_dir (no WAL)")
         return os.path.join(self.log_dir, f"{name}.wal")
 
-    def begin_kill(self, name: str) -> None:
-        """The synchronous half of a node kill: wipe volatile protocol
-        state *now* (before any other event runs) and retire the WAL
-        handle.  Crash-site hooks call this from inside the very event
-        being interrupted; :meth:`finish_kill` tears the sockets down.
-        """
+    def crash(self, name: str) -> "asyncio.Task":
+        """Kill a node.  Its volatile protocol state is wiped and its
+        WAL handle retired *now*, so a crash-site hook may call this
+        from inside the very event it interrupts; closing its sockets
+        follows as the returned task."""
         node = self.nodes[name]
         node.crash()
         stable = node.log.stable
         if isinstance(stable, FileStableStorage):
             stable.close()
             self._retired_storage[name] = stable
+        return self._after_faults(name, self._close_sockets, name)
 
-    async def finish_kill(self, name: str) -> None:
-        """Close the killed node's sockets and reconcile in-flight
-        frame accounting so quiescence tracking stays truthful."""
+    def restart(self, name: str,
+                then: Optional[Callable[[], None]] = None) -> "asyncio.Task":
+        """Boot a killed node from its WAL once its kill has finished
+        (see :mod:`repro.transport.restart`); ``then`` runs right after
+        restart recovery.  The task's result is the
+        :class:`~repro.transport.restart.RestartInfo`."""
+        from repro.transport.restart import restart_node
+
+        async def boot():
+            info = await restart_node(self, name)
+            if then is not None:
+                then()
+            return info
+        return self._after_faults(name, boot)
+
+    async def wait_faults(self) -> None:
+        """Await every kill teardown and restart started so far."""
+        for task in list(self._fault_tasks.values()):
+            await task
+
+    @property
+    def faults_pending(self) -> bool:
+        return any(not task.done() for task in self._fault_tasks.values())
+
+    def _after_faults(self, name: str, step, *args) -> "asyncio.Task":
+        """Run ``step(*args)`` once the node's earlier kill or restart
+        is done: a restart never races the teardown it follows."""
+        previous = self._fault_tasks.get(name)
+
+        async def chained():
+            if previous is not None:
+                await previous
+            return await step(*args)
+        task = self._fault_tasks[name] = asyncio.ensure_future(chained())
+        return task
+
+    async def _close_sockets(self, name: str) -> None:
+        """Close a killed node's sockets and reconcile in-flight frame
+        accounting so quiescence tracking stays truthful."""
         lost = await self.transport.close_node(name)
         # Let FIN/EOF propagate so peers' watchers flip their links
         # down (subsequent sends queue instead of dying in buffers).
@@ -184,17 +224,6 @@ class LiveCluster:
         lost += self.transport.reconcile_lost(name)
         for _ in range(lost):
             self.activity.dec()
-
-    async def kill_node(self, name: str) -> None:
-        """Hard-kill a node: volatile-state wipe + socket close, as one
-        operation (the non-crash-site entry point)."""
-        self.begin_kill(name)
-        await self.finish_kill(name)
-
-    async def restart_node(self, name: str):
-        """Boot a killed node from its WAL; see repro.transport.restart."""
-        from repro.transport.restart import restart_node
-        return await restart_node(self, name)
 
     # ------------------------------------------------------------------
     # Frame dispatch
@@ -300,10 +329,6 @@ class ServeControl:
         if not self._drain.is_set():
             self.reason = reason
             self._drain.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
 
     async def wait_drain(self) -> None:
         await self._drain.wait()

@@ -12,9 +12,11 @@ classification, redo/undo, checkpoint-based recovery, in-doubt
 inquiry — is the unchanged :mod:`repro.core.recovery` code.
 
 The division of labour with :class:`~repro.transport.live.LiveCluster`:
-the cluster owns the *kill* half (``begin_kill`` must run synchronously
-inside the event being interrupted, and ``finish_kill`` reconciles the
-activity tracker it owns); this module owns the *boot* half.
+the cluster owns the *kill* half (``LiveCluster.crash`` wipes the node
+synchronously inside the event being interrupted, then reconciles the
+activity tracker it owns) and sequences both halves per node
+(``LiveCluster.restart`` runs :func:`restart_node` once the kill is
+done); this module owns the *boot* half.
 """
 
 from __future__ import annotations
@@ -37,16 +39,6 @@ class RestartInfo:
     seconds: float
     records_replayed: int
     torn_tail: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {"node": self.node, "seconds": self.seconds,
-                "records_replayed": self.records_replayed,
-                "torn_tail": self.torn_tail}
-
-
-async def kill_node(cluster: "LiveCluster", name: str) -> None:
-    """Hard-kill ``name``: process-state wipe + hard socket close."""
-    await cluster.kill_node(name)
 
 
 async def restart_node(cluster: "LiveCluster", name: str) -> RestartInfo:

@@ -49,9 +49,6 @@ from repro.transport.wire import (FrameError, FrameSplitter, encode_frame,
 
 FrameHandler = Callable[[str, Any, "asyncio.Transport"], None]
 
-#: Sentinel a send filter returns to drop a frame at the transport seam.
-DROP_FRAME = object()
-
 #: What a frame handler raises for a frame it cannot decode or act on
 #: (a malformed message array, a begin frame with a bad spec): the
 #: frame is rejected and its connection closed.
@@ -171,13 +168,6 @@ class TcpTransport:
         self.on_link_down: Optional[Callable[[str, str], None]] = None
         self.on_link_up: Optional[Callable[[str, str, int], None]] = None
         self.on_give_up: Optional[Callable[[str, str, int], None]] = None
-        #: Fault seam: ``send_filter(src, dst, obj)`` may return
-        #: ``DROP_FRAME``, a delay in seconds, or None (pass through).
-        self.send_filter: Optional[Callable[[str, str, dict], object]] = None
-        #: Called for every frame the send filter drops, so the owner
-        #: can reconcile delivery accounting (activity tracking).
-        self.on_frame_dropped: Optional[Callable[[str, str, dict],
-                                                 None]] = None
         self.backoff = backoff or BackoffPolicy()
         self._rng = RandomStream(seed ^ 0x7C9_2BC)
         self._servers: Dict[str, "asyncio.base_events.Server"] = {}
@@ -189,7 +179,6 @@ class TcpTransport:
         self._closed = False
         self.frames_sent = 0
         self.frames_received = 0
-        self.frames_dropped = 0
         #: Inbound frames refused as malformed (each closed its
         #: connection).
         self.frames_rejected = 0
@@ -214,10 +203,6 @@ class TcpTransport:
         bound = server.sockets[0].getsockname()
         self._addresses[node] = (bound[0], bound[1])
         return self._addresses[node]
-
-    def set_peer(self, node: str, host: str, port: int) -> None:
-        """Register a remote node's address (multi-process deployments)."""
-        self._addresses[node] = (host, port)
 
     def address(self, node: str) -> Tuple[str, int]:
         return self._addresses[node]
@@ -254,21 +239,6 @@ class TcpTransport:
         frames sent while the link is down queue FIFO and drain, still
         in order, when the reconnect loop lands.
         """
-        if self.send_filter is not None:
-            verdict = self.send_filter(src, dst, obj)
-            if verdict is DROP_FRAME:
-                self.frames_dropped += 1
-                if self.on_frame_dropped is not None:
-                    self.on_frame_dropped(src, dst, obj)
-                return
-            if verdict:
-                delay = float(verdict)  # type: ignore[arg-type]
-                asyncio.get_running_loop().call_later(
-                    delay, self._dispatch, src, dst, obj)
-                return
-        self._dispatch(src, dst, obj)
-
-    def _dispatch(self, src: str, dst: str, obj: Any) -> None:
         link = self._links[(src, dst)]
         if link.state == "up" and link.writer is not None:
             self._write(link, frame_kind(obj), encode_frame(obj))

@@ -1,107 +1,102 @@
-"""The live torture gate: kill real nodes at the paper's worst moments.
+"""Live torture: the crash-site campaign on real sockets and WALs.
 
-The simulated torture matrix (:mod:`repro.torture`) proves the
-protocol state machines recover from crashes at adversarial log
-sites.  This module proves the *deployment* does: the same crash
-sites, but the victim is a :class:`~repro.transport.live.LiveCluster`
-node whose sockets get hard-closed, whose volatile state is wiped,
-and whose only way back is its on-disk WAL through
-:mod:`repro.transport.restart`.
+The simulated torture matrix (:mod:`repro.torture`) records every
+crash site of a clean run, replays a crash at each one and judges the
+recovery with :func:`repro.faults.campaign.judge`.  This module runs
+the same two phases with a :class:`~repro.transport.live.LiveCluster`
+as the substrate: a crashed node loses its sockets and volatile state
+and comes back only through its WAL on disk
+(:mod:`repro.transport.restart`).  Nothing else is live-specific:
 
-Each cell of the sweep runs a seeded workload over localhost TCP,
-arms one crash site on one victim via
-:class:`~repro.transport.faults.LiveFaultInjector`, lets the node die
-mid-protocol, restarts it from the WAL after a short outage, and then
-requires:
+* :class:`~repro.torture.sites.SiteRecorder` records the sites and
+  :func:`~repro.torture.sites.arm_crash` arms the crash, whose
+  ``crash``/``restart`` calls land on the live cluster;
+* every transaction of every run gets :func:`judge`, and the sweep is
+  one :class:`~repro.faults.campaign.Report` of ``Cell(config,
+  "baseline")`` cells over ``CONFIG_NAMES``.
 
-* settlement — every context on every node reaches a settled state
-  (surviving nodes' protocol timers plus the restarted node's
-  recovery drive the in-doubt windows closed);
-* zero stranded in-doubt transactions (operator-console scan);
-* checker rules clean (atomicity per transaction, R1-R9 stream);
-* fsync accounting intact across the crash: on every untouched node
-  each counted physical log I/O is one real fsync; on the victim the
-  shortfall is bounded by its crash count (an I/O counted at start
-  whose fsync died with the process).
+Only **force** sites are replayed, pre and post: the live substrate
+adds WAL, fsync and torn-tail code at forced writes only, while send
+and deliver crashes exercise protocol code the simulated matrix
+already covers.  The workload takes one checkpoint on ``n0`` after its
+first transaction, so the CHECKPOINT force is a site too.
 
-``site == "none"`` cells are the no-fault control: they run the full
-deployment-twin check, so ``diff_journals(live, sim,
-ignore_time=True)`` must come back empty — the torture gate subsumes
-the twin gate's guarantee on undisturbed runs.
+The verdict differs from the simulator's in two ways, and only these:
+
+* "quiesced" means every context on every node has settled within
+  :data:`SETTLE_TIMEOUT` seconds (in the simulator: the event budget
+  was not exhausted).  A run that does not settle names each unsettled
+  context: node, transaction, state and held keys.
+* The fsync-accounting rule is added: on every node each counted
+  physical log I/O is one real fsync, short by at most the node's
+  crash count (an I/O counted at start whose fsync died with it).
+
+Each cell's clean run is also twin-checked
+(:func:`~repro.transport.twin.run_twin_check`): the live journal of
+the seeded workload must replay in the simulator with an empty diff.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import tempfile
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.spec import ParticipantSpec, TransactionSpec
-from repro.sim.kernel import EventInterrupt
-from repro.transport.faults import LiveFaultInjector
+from repro.core.spec import TransactionSpec
+from repro.faults.campaign import (CONFIG_NAMES, CONFIGS, Cell, Report, Run,
+                                   judge)
+from repro.faults.injector import CrashSite
+from repro.obs.journal import SETTLED_STATES
+from repro.torture.sites import SiteRecorder, arm_crash
 from repro.transport.live import LiveCluster
-from repro.transport.twin import (DEFAULT_NODES, TWIN_PROTOCOLS,
-                                  run_twin_check, twin_specs)
+from repro.transport.twin import DEFAULT_NODES, run_twin_check, twin_specs
 from repro.verify.checker import ProtocolChecker
 
-#: Crash sites the sweep visits, in report order.  "none" is the
-#: control cell (full twin check, no faults); the rest name the
-#: forced-record sites the paper's recovery arguments hinge on.
-SITES = ("none", "coord-pre-decision", "coord-post-decision",
-         "sub-pre-vote", "sub-post-vote", "mid-checkpoint")
+#: Transactions per run (seeded by the sweep's seed).
+TXNS = 3
 
-#: site -> (record matcher kind, pre|post) for the armed sites.
-_ARMED_SITES = {
-    "coord-pre-decision": ("coordinator-decision", "pre"),
-    "coord-post-decision": ("coordinator-decision", "post"),
-    "sub-pre-vote": ("subordinate-vote", "pre"),
-    "sub-post-vote": ("subordinate-vote", "post"),
-}
+#: Seconds a crashed node stays down before its WAL restart (the live
+#: counterpart of the simulated matrix's ``RESTART_DELAY``).
+OUTAGE = 0.05
 
-#: Real-time analogues of the sim torture timeouts (LiveCluster
-#: supplies the live time units): short enough that a cell settles in
-#: well under a second of wall clock, long enough that the ~60ms
-#: kill/restart outage never races a timer it needn't.
-_TIMEOUTS = dict(ack_timeout=0.4, vote_timeout=0.5, inquiry_timeout=0.5,
-                 work_timeout=4.0)
+#: Real-time analogues of the campaign timeouts: short enough that a
+#: run settles in well under a second of wall clock, long enough that
+#: the outage never races a timer it need not.
+TIMEOUTS = dict(ack_timeout=0.4, vote_timeout=0.5, inquiry_timeout=0.5,
+                work_timeout=4.0)
 
-_SETTLE_TIMEOUT = 20.0
+SETTLE_TIMEOUT = 20.0
 _POLL = 0.02
 
-
-def _updates(participant: ParticipantSpec) -> bool:
-    if any(op.is_update for op in participant.ops):
-        return True
-    return any(op.is_update for ops in participant.rm_ops.values()
-               for op in ops)
+#: Campaign config name -> the twin check's protocol name.
+_TWIN_NAMES = {"BASIC": "basic", "PA": "presumed_abort",
+               "PN": "presumed_nothing", "PC": "presumed_commit"}
 
 
-def _victim_for(spec: TransactionSpec, site: str) -> Optional[str]:
-    """The node to kill in ``spec``, or None if the spec can't host
-    the site (read-only participants force no records to crash at)."""
-    updating_subs = [p.node for p in spec.participants
-                     if not p.is_root and _updates(p)]
-    if not updating_subs:
-        # Also disqualifies the coordinator sites: an all-read-only
-        # subtree means no decision record is forced (and under PA an
-        # abort decision writes no coordinator record at all).
-        return None
-    if site.startswith("sub-"):
-        return updating_subs[0]
-    return spec.root.node
+@dataclass
+class LiveTxn:
+    """One transaction of a live run, shaped the way :func:`judge`
+    reads a trial."""
+
+    cluster: LiveCluster
+    checker: ProtocolChecker
+    spec: TransactionSpec
+    outcome: Optional[str]
+    stall: List[str]
+
+    @property
+    def quiesced(self) -> bool:
+        return not self.stall
 
 
-def _choose_target(specs: Sequence[TransactionSpec],
-                   site: str) -> Tuple[Optional[int], Optional[str]]:
-    for index, spec in enumerate(specs):
-        victim = _victim_for(spec, site)
-        if victim is not None:
-            return index, victim
-    return None, None
-
-
+# ----------------------------------------------------------------------
+# Settlement
+# ----------------------------------------------------------------------
 def _settled(cluster: LiveCluster) -> bool:
-    from repro.obs.journal import SETTLED_STATES
+    if cluster.faults_pending or cluster.activity.count:
+        return False
     for node in cluster.nodes.values():
         if not node.alive:
             return False
@@ -111,218 +106,172 @@ def _settled(cluster: LiveCluster) -> bool:
     return True
 
 
-async def _wait_settled(cluster: LiveCluster,
-                        timeout: float = _SETTLE_TIMEOUT) -> bool:
+def _unsettled(cluster: LiveCluster) -> List[str]:
+    lines = []
+    for name, node in sorted(cluster.nodes.items()):
+        if not node.alive:
+            lines.append(f"{name} still down after {SETTLE_TIMEOUT:g}s")
+            continue
+        for context in node.contexts.values():
+            if context.state.value in SETTLED_STATES:
+                continue
+            held = sorted(key for rm in node.all_rms()
+                          for key in rm.locks.held_keys(context.txn_id))
+            lines.append(f"unsettled after {SETTLE_TIMEOUT:g}s: txn "
+                         f"{context.txn_id} on {name} in state "
+                         f"{context.state.value} (held {held})")
+    return lines or [f"tracked work still pending after "
+                     f"{SETTLE_TIMEOUT:g}s (activity="
+                     f"{cluster.activity.count})"]
+
+
+async def _settle(cluster: LiveCluster) -> List[str]:
+    """Wait until the cluster settles; the stall lines if it does not."""
     loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    while loop.time() < deadline:
-        if _settled(cluster):
-            return True
+    deadline = loop.time() + SETTLE_TIMEOUT
+    while True:
         await asyncio.sleep(_POLL)
-    return False
+        if _settled(cluster):
+            return []
+        if loop.time() >= deadline:
+            return _unsettled(cluster)
 
 
-def _start(cluster: LiveCluster, spec: TransactionSpec):
-    """Start a transaction, honouring a crash site that fires inside
-    the synchronous part of ``begin_transaction`` itself."""
-    try:
-        return cluster.start_transaction(spec)
-    except EventInterrupt as interrupt:
-        if interrupt.on_interrupt is not None:
-            interrupt.on_interrupt()
-        return None
+def _fsync_violations(cluster: LiveCluster) -> List[str]:
+    violations = []
+    fsyncs = cluster.fsync_counts()
+    for name, node in sorted(cluster.nodes.items()):
+        ios = cluster.metrics.physical_ios(name)
+        synced = fsyncs.get(name, 0)
+        if not 0 <= ios - synced <= node.crash_count:
+            violations.append(
+                f"fsync accounting broken on {name}: {ios} physical log "
+                f"I/Os vs {synced} fsyncs ({node.crash_count} crashes)")
+    return violations
 
 
-def _recorded_outcome(cluster: LiveCluster, spec: TransactionSpec) -> str:
-    for participant in spec.participants:
-        outcome = cluster.recorded_outcome(participant.node, spec.txn_id)
-        if outcome is not None:
-            return outcome
-    return "no-record"  # legal: e.g. a presumed-abort all-read-only txn
-
-
-@dataclass
-class TortureCell:
-    """One (protocol, site) cell of the live torture sweep."""
-
-    protocol: str
-    site: str
-    ok: bool
-    fired: bool
-    victim: Optional[str]
-    crashes: int
-    outcomes: Dict[str, str] = field(default_factory=dict)
-    restarts: List[dict] = field(default_factory=list)
-    problems: List[str] = field(default_factory=list)
-    #: The cell's flight-recorder journal (crash, restart and recovery
-    #: included); kept off ``to_dict`` — the report stays small.
-    journal: list = field(default_factory=list, repr=False)
-
-    def describe(self) -> str:
-        label = f"{self.protocol}/{self.site}"
-        if self.ok:
-            detail = (f"victim {self.victim} crashed and recovered"
-                      if self.crashes else "control clean")
-            outcomes = ",".join(f"{t}={o}"
-                                for t, o in sorted(self.outcomes.items()))
-            return f"  ok   {label}: {detail}" + \
-                (f" [{outcomes}]" if outcomes else "")
-        lines = [f"  FAIL {label}:"]
-        lines.extend(f"       {p}" for p in self.problems)
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {"protocol": self.protocol, "site": self.site,
-                "ok": self.ok, "fired": self.fired, "victim": self.victim,
-                "crashes": self.crashes, "outcomes": self.outcomes,
-                "restarts": self.restarts, "problems": self.problems}
-
-
-@dataclass
-class LiveTortureReport:
-    """The full sweep: protocols x crash sites over real sockets."""
-
-    seed: int
-    txns: int
-    cells: List[TortureCell]
-
-    @property
-    def clean(self) -> bool:
-        return all(cell.ok for cell in self.cells)
-
-    def describe(self) -> str:
-        failed = sum(1 for c in self.cells if not c.ok)
-        head = (f"live torture: {len(self.cells)} cells, "
-                f"{len(self.cells) - failed} clean, {failed} failed "
-                f"(seed={self.seed}, txns={self.txns})")
-        return "\n".join([head] + [cell.describe() for cell in self.cells])
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "txns": self.txns, "clean": self.clean,
-                "cells": [cell.to_dict() for cell in self.cells]}
-
-
-async def _run_cell(protocol: str, site: str, seed: int, txns: int,
-                    outage: float, log_dir: str) -> TortureCell:
-    from repro.obs.journal import JournalRecorder
-    from repro.ops import OperatorConsole
-
-    config = TWIN_PROTOCOLS[protocol].with_options(**_TIMEOUTS)
-    cluster = LiveCluster(config, nodes=list(DEFAULT_NODES), seed=seed,
+# ----------------------------------------------------------------------
+# One run
+# ----------------------------------------------------------------------
+async def _run(config_name: str, seed: int, log_dir: str,
+               site: Optional[CrashSite], when: str,
+               instrument: Optional[Callable[[LiveCluster], object]]
+               ) -> Tuple[str, List[str], Optional[str]]:
+    cluster = LiveCluster(CONFIGS[config_name].with_options(**TIMEOUTS),
+                          nodes=list(DEFAULT_NODES), seed=seed,
                           log_dir=log_dir)
-    recorder = JournalRecorder().attach(cluster)
+    if instrument is not None:
+        instrument(cluster)
     checker = ProtocolChecker().attach(cluster)
-    injector = LiveFaultInjector(cluster, seed=seed)
-    console = OperatorConsole(cluster)
-    specs = twin_specs(seed, txns, DEFAULT_NODES)
-    target, victim = _choose_target(specs, site)
-    problems: List[str] = []
-    outcomes: Dict[str, str] = {}
     armed = None
+    if site is not None:
+        armed = arm_crash(cluster, site, when=when, restart_after=OUTAGE,
+                          on_restart=partial(checker.check_recovery_locks,
+                                             site.node))
+    txns: List[LiveTxn] = []
     await cluster.start()
     try:
-        if target is None:
-            problems.append(f"workload seed {seed} produced no "
-                            f"transaction eligible for site {site}")
-        for index, spec in enumerate(specs):
-            if target is None:
+        for index, spec in enumerate(twin_specs(seed, TXNS, DEFAULT_NODES)):
+            # Started inside the clock, so a site that fires during
+            # enrollment interrupts an event like any other.
+            handles: list = []
+            cluster.simulator.call_soon(
+                lambda: handles.append(cluster.start_transaction(spec)),
+                name="campaign-start")
+            stall = await _settle(cluster)
+            if index == 0 and not stall:
+                cluster.simulator.call_soon(
+                    cluster.nodes["n0"].take_checkpoint, name="checkpoint")
+                stall = await _settle(cluster)
+            handle = handles[0] if handles else None
+            txns.append(LiveTxn(
+                cluster, checker, spec,
+                handle.outcome if handle is not None and handle.done
+                else None, stall))
+            if stall:
                 break
-            if index == target and site in _ARMED_SITES:
-                kind, when = _ARMED_SITES[site]
-                armed = injector.arm_crash(kind, victim, when=when,
-                                           txn_id=spec.txn_id,
-                                           restart_after=outage)
-            _start(cluster, spec)
-            if not await _wait_settled(cluster):
-                problems.append(f"{spec.txn_id}: cluster did not settle "
-                                f"within {_SETTLE_TIMEOUT:g}s")
-                break
-            checker.check_atomicity(spec.txn_id)
-            outcomes[spec.txn_id] = _recorded_outcome(cluster, spec)
-            if index == target and site == "mid-checkpoint":
-                # Crash inside the checkpoint the restarted node would
-                # otherwise recover from: the CHECKPOINT record dies
-                # volatile, so recovery must fall back to a full-log
-                # replay — and the remaining transactions must still
-                # run clean on the recovered node.
-                armed = injector.arm_crash("checkpoint", victim,
-                                           when="pre",
-                                           restart_after=outage)
-                try:
-                    cluster.nodes[victim].take_checkpoint()
-                except EventInterrupt as interrupt:
-                    if interrupt.on_interrupt is not None:
-                        interrupt.on_interrupt()
-                if not await _wait_settled(cluster):
-                    problems.append("mid-checkpoint: cluster did not "
-                                    "settle after restart")
-                    break
-        await injector.wait_armed()
-        try:
-            await cluster.wait_quiescent(timeout=2.0)
-        except asyncio.TimeoutError:
-            # Settlement is the gate's criterion; residual tracked
-            # work (e.g. a retry armed just before its target acked)
-            # is tolerated but the states above must already be final.
-            pass
-
-        if site != "none" and not problems and \
-                (armed is None or not armed.fired):
-            problems.append(f"crash site {site} never fired "
-                            f"(victim {victim})")
-        problems.extend(str(v) for v in checker.violations)
-        stranded = console.in_doubt_transactions()
-        for entry in stranded:
-            problems.append(
-                f"stranded in-doubt: txn {entry.txn_id} on {entry.node} "
-                f"(coordinator {entry.coordinator}, "
-                f"held {entry.held_keys})")
-        fsyncs = cluster.fsync_counts()
-        for name, node in cluster.nodes.items():
-            ios = cluster.metrics.physical_ios(name)
-            synced = fsyncs.get(name, 0)
-            if not 0 <= ios - synced <= node.crash_count:
-                problems.append(
-                    f"fsync accounting broken on {name}: {ios} physical "
-                    f"log I/Os vs {synced} fsyncs "
-                    f"({node.crash_count} crashes)")
+        await cluster.wait_faults()
+        extra = _fsync_violations(cluster)
     finally:
-        injector.detach()
-        recorder.detach()
-        checker.detach()
         await cluster.stop()
-    return TortureCell(
-        protocol=protocol, site=site, ok=not problems,
-        fired=bool(armed and armed.fired), victim=victim,
-        crashes=sum(n.crash_count for n in cluster.nodes.values()),
-        outcomes=outcomes,
-        restarts=[info.to_dict() for info in injector.restarts],
-        problems=problems, journal=recorder.entries())
+    fired = armed is None or armed.fired
+    verdict, violations = "ok", []
+    for txn in txns:
+        txn_verdict, lines = judge(txn, fired)
+        if verdict == "ok":
+            verdict = txn_verdict
+        violations += [line for line in lines if line not in violations]
+    if extra:
+        violations += extra
+        if verdict == "ok":
+            verdict = "violations"
+    outcome = " ".join(f"{txn.spec.txn_id}={txn.outcome}" for txn in txns)
+    return verdict, violations, outcome
 
 
-def run_torture_cell(protocol: str, site: str, seed: int = 17,
-                     txns: int = 3, outage: float = 0.05) -> TortureCell:
-    """Run one cell (fresh event loop, throwaway WAL directory)."""
-    if site == "none":
-        report = run_twin_check(protocol, seed=seed, txns=txns)
-        return TortureCell(
-            protocol=protocol, site="none", ok=report.clean, fired=False,
-            victim=None, crashes=0,
-            problems=[] if report.clean else [report.describe()])
-    import tempfile
+def _run_in_tmp(config_name: str, seed: int, site: Optional[CrashSite],
+                when: str, instrument=None
+                ) -> Tuple[str, List[str], Optional[str]]:
+    """One run on a fresh event loop and a throwaway WAL directory."""
     with tempfile.TemporaryDirectory(prefix="repro-torture-") as tmp:
-        return asyncio.run(_run_cell(protocol, site, seed, txns,
-                                     outage, tmp))
+        return asyncio.run(_run(config_name, seed, tmp, site, when,
+                                instrument))
 
 
-def run_live_torture(seed: int = 17, txns: int = 3,
-                     protocols: Optional[Sequence[str]] = None,
-                     sites: Optional[Sequence[str]] = None,
-                     outage: float = 0.05) -> LiveTortureReport:
-    """The full sweep; the body of ``repro-2pc live-torture``."""
-    cells = []
-    for protocol in (protocols or list(TWIN_PROTOCOLS)):
-        for site in (sites or SITES):
-            cells.append(run_torture_cell(protocol, site, seed=seed,
-                                          txns=txns, outage=outage))
-    return LiveTortureReport(seed=seed, txns=txns, cells=cells)
+def record_live_sites(config_name: str, seed: int = 17
+                      ) -> Tuple[List[CrashSite], List[str], Optional[str]]:
+    """The clean run: (force sites, violations, outcome)."""
+    recorder = SiteRecorder()
+    __, violations, outcome = _run_in_tmp(
+        config_name, seed, None, "pre", instrument=recorder.attach)
+    sites = [site for site in recorder.sites if site.kind == "force"]
+    return sites, violations, outcome
+
+
+def run_live_site(config_name: str, seed: int, site: CrashSite, when: str,
+                  instrument=None) -> Run:
+    """Replay the live workload with a crash armed at one force site."""
+    verdict, violations, outcome = _run_in_tmp(config_name, seed, site,
+                                               when, instrument)
+    return Run(f"{site.describe()} [{when}]",
+               {"site": site.to_dict(), "when": when}, verdict,
+               violations, outcome)
+
+
+# ----------------------------------------------------------------------
+# Cells and the sweep
+# ----------------------------------------------------------------------
+def run_live_cell(config_name: str, seed: int = 17) -> Cell:
+    """Twin-check and record the clean run, then replay every force
+    site pre and post."""
+    twin = run_twin_check(_TWIN_NAMES[config_name], seed=seed, txns=TXNS)
+    sites, violations, outcome = record_live_sites(config_name, seed)
+    if not twin.clean:
+        violations = twin.describe().splitlines() + violations
+    cell = Cell(config_name, "baseline", seed, sites=sites,
+                clean_violations=violations, clean_outcome=outcome)
+    # A broken clean run is not replayed: replays would only repeat it.
+    if not violations:
+        cell.runs = [run_live_site(config_name, seed, site, when)
+                     for site in sites for when in ("pre", "post")]
+    cell.summary = f"{len(sites)} force sites, {len(cell.runs)} replays"
+    return cell
+
+
+def run_live_torture(configs: Optional[Sequence[str]] = None,
+                     seed: int = 17) -> Report:
+    """The whole sweep; the body of ``repro-2pc live-torture``."""
+    names = list(configs) if configs else list(CONFIG_NAMES)
+    for name in names:
+        if name not in CONFIGS:
+            raise ValueError(f"unknown config {name!r}; "
+                             f"choose from {CONFIG_NAMES}")
+    cells = [run_live_cell(name, seed) for name in names]
+    return Report(
+        seed, cells,
+        header=(f"live torture: {len(cells)} cells (clean runs "
+                f"twin-checked), "
+                f"{sum(len(cell.sites) for cell in cells)} force sites, "
+                f"{sum(len(cell.runs) for cell in cells)} crash replays "
+                f"(seed {seed}, {TXNS} txns, outage {OUTAGE:g}s)"),
+        units=("sites", "site replays"))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cluster import Cluster
 from repro.core.config import (BASIC_2PC, PRESUMED_ABORT, PRESUMED_COMMIT,
@@ -215,13 +215,15 @@ class TwinReport:
 # The two runs
 # ----------------------------------------------------------------------
 async def _run_live(config: ProtocolConfig, seed: int, txns: int,
-                    nodes: Sequence[str],
-                    log_dir: Optional[str]) -> RunCapture:
+                    nodes: Sequence[str], log_dir: Optional[str],
+                    instrument: Optional[Callable] = None) -> RunCapture:
     from repro.ops import OperatorConsole
     from repro.transport.admin import AdminServer
 
     cluster = LiveCluster(config, nodes=list(nodes), seed=seed,
                           log_dir=log_dir)
+    if instrument is not None:
+        instrument(cluster)
     recorder = JournalRecorder().attach(cluster)
     registry = MetricsRegistry().attach(cluster)
     checker = ProtocolChecker().attach(cluster)
@@ -259,13 +261,15 @@ async def _run_live(config: ProtocolConfig, seed: int, txns: int,
 
 
 def _run_replay(config: ProtocolConfig, seed: int, txns: int,
-                nodes: Sequence[str],
-                schedule: Sequence[DeliveryKey]) -> RunCapture:
+                nodes: Sequence[str], schedule: Sequence[DeliveryKey],
+                instrument: Optional[Callable] = None) -> RunCapture:
     # Tiny io_latency keeps forced-write chains well inside one STEP of
     # the replayed delivery timeline.
     cluster = Cluster(config.with_options(io_latency=1e-6),
                       nodes=list(nodes), seed=seed,
                       network_class=ScheduledNetwork)
+    if instrument is not None:
+        instrument(cluster)
     cluster.network.load_schedule(schedule)
     recorder = JournalRecorder().attach(cluster)
     registry = MetricsRegistry().attach(cluster)
@@ -296,8 +300,13 @@ def _run_replay(config: ProtocolConfig, seed: int, txns: int,
 # ----------------------------------------------------------------------
 def run_twin_check(protocol: str, seed: int = 11, txns: int = 6,
                    nodes: Sequence[str] = DEFAULT_NODES,
-                   log_dir: Optional[str] = None) -> TwinReport:
-    """Live run → recorded schedule → sim replay → full comparison."""
+                   log_dir: Optional[str] = None,
+                   instrument: Optional[Callable] = None) -> TwinReport:
+    """Live run → recorded schedule → sim replay → full comparison.
+
+    ``instrument``, when given, is called with each side's cluster
+    (live, then replay) before anything else attaches.
+    """
     config = TWIN_PROTOCOLS[protocol]
     try:
         if log_dir is None:
@@ -305,9 +314,11 @@ def run_twin_check(protocol: str, seed: int = 11, txns: int = 6,
             # throwaway WAL directory rather than silently skipping them.
             import tempfile
             with tempfile.TemporaryDirectory(prefix="repro-twin-") as tmp:
-                live = asyncio.run(_run_live(config, seed, txns, nodes, tmp))
+                live = asyncio.run(_run_live(config, seed, txns, nodes, tmp,
+                                             instrument))
         else:
-            live = asyncio.run(_run_live(config, seed, txns, nodes, log_dir))
+            live = asyncio.run(_run_live(config, seed, txns, nodes, log_dir,
+                                         instrument))
     except OSError as error:
         # A sandbox without loopback (or an exhausted fd/port table)
         # fails here; classify and surface it instead of crashing out
@@ -319,7 +330,7 @@ def run_twin_check(protocol: str, seed: int = 11, txns: int = 6,
             live_entries=0, sim_entries=0,
             transport_errors=[classify_socket_error(error)])
     schedule = delivery_schedule(live.entries)
-    sim = _run_replay(config, seed, txns, nodes, schedule)
+    sim = _run_replay(config, seed, txns, nodes, schedule, instrument)
 
     if log_dir is not None:
         # Persist both journals next to the WALs so the recorded run

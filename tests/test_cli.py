@@ -110,5 +110,14 @@ def test_parser_rejects_bad_table():
         build_parser().parse_args(["table", "9"])
 
 
+def test_live_torture_takes_the_campaign_options_only():
+    args = build_parser().parse_args(
+        ["live-torture", "--configs", "PA", "PC", "--seed", "3", "--json"])
+    assert (args.configs, args.seed, args.json) == (["PA", "PC"], 3, True)
+    for retired in ("--protocols", "--sites", "--txns", "--outage"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["live-torture", retired, "1"])
+
+
 def test_module_entry_point():
     import repro.__main__  # noqa: F401  (import side-effect free)

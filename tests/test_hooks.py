@@ -19,7 +19,7 @@ from repro.obs import (ConformanceAuditor, CostLedger, JournalRecorder,
                        MetricsRegistry, SimTimeSeries, SpanTracer)
 from repro.torture.sites import ArmedCrash, SiteRecorder
 from repro.trace.recorder import Tracer
-from repro.transport import LiveCluster, LiveFaultInjector
+from repro.transport import LiveCluster
 from repro.verify.checker import ProtocolChecker
 
 
@@ -127,10 +127,10 @@ SIM_OBSERVERS = {
 
 
 @pytest.mark.parametrize("name",
-                         sorted(SIM_OBSERVERS) + ["LiveFaultInjector"])
+                         sorted(SIM_OBSERVERS) + ["ArmedCrash-live"])
 def test_attach_contract(name):
-    if name == "LiveFaultInjector":
-        asyncio.run(_live_injector_contract())
+    if name == "ArmedCrash-live":
+        asyncio.run(_live_armed_crash_contract())
         return
     construct, attach_args = SIM_OBSERVERS[name]
     first, second = sim_cluster(), sim_cluster()
@@ -143,17 +143,16 @@ def test_attach_contract(name):
     check_contract(first, second, make, attach_args)
 
 
-async def _live_injector_contract():
+async def _live_armed_crash_contract():
+    """The same crash arming on the live substrate: its hooks sit on
+    the live cluster's logs, and detaching leaves nothing behind."""
     first = add_rms(LiveCluster(PRESUMED_ABORT, nodes=["c", "s"]))
     second = add_rms(LiveCluster(PRESUMED_ABORT, nodes=["c", "s"]))
 
     def make(cluster):
-        injector = LiveFaultInjector(cluster, seed=1)
-        injector.arm_crash("subordinate-vote", "s")
-        injector.arm_crash("coordinator-decision", "c", when="post")
-        return injector
+        return ArmedCrash(CrashSite("force", "s", 0), when="post",
+                          restart_after=0.05).attach(cluster)
 
-    injector = check_contract(first, second, make, lambda cluster: ())
-    assert first.transport.send_filter is None
-    assert first.transport.on_frame_dropped is None
-    assert injector.killed == []
+    armed = check_contract(first, second, make, lambda cluster: ())
+    assert not armed.fired
+    assert all(node.alive for node in first.nodes.values())

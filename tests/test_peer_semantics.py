@@ -195,6 +195,21 @@ class TestAbortOvertakesVote:
         assert (MessageType.VOTE_NO, "n2", "n0") in sends
         assert all(not node.contexts for node in cluster.nodes.values())
 
+    @PRESUMPTIONS
+    def test_cascaded_abort_reaches_a_late_yes_voter_once(self, config):
+        # n3's YES reaches n2 while n2's own ABORTED record is still
+        # being logged: on_vote answers it with ABORT, and the abort
+        # n2 then passes down must not tell n3 a second time.
+        __, handle, sends, __ = self.run_traced(config, [
+            ParticipantSpec(node="n0", ops=[write_op("a", 1)]),
+            ParticipantSpec(node="n1", parent="n0", ops=[write_op("b", 1)],
+                            veto=True),
+            ParticipantSpec(node="n2", parent="n0", ops=[write_op("c", 1)]),
+            ParticipantSpec(node="n3", parent="n2", ops=[write_op("d", 1)]),
+        ])
+        assert handle.aborted
+        assert sends.count((MessageType.ABORT, "n2", "n3")) == 1
+
 
 class TestGroupCommitIntegration:
     def run_concurrent(self, group_size, n_txns=8, stagger=0.0):

@@ -16,6 +16,7 @@ from repro.net.network import NetworkError
 from repro.faults.campaign import (
     HORIZON,
     MAX_EVENTS,
+    Trial,
     load_artifact,
     save_artifact,
 )
@@ -60,6 +61,24 @@ def test_crash_plan_site_mode_validation():
         CrashPlan("n0", site=site, restart_at=5.0)
     with pytest.raises(ValueError):
         CrashPlan("n0")                       # neither at nor site
+
+
+def test_fault_plan_site_mode_runs_end_to_end():
+    """A site-addressed FaultPlan arms the crash itself: it fires, the
+    node restarts after the delay, and the run is judged ok."""
+    sites, __, __ = record_sites("PA", "baseline", 0)
+    site = next(s for s in sites
+                if s.kind == "force" and s.node == "n1")
+    trial = Trial(*_build_cell("PA", "baseline", 0))
+    FaultInjector(trial.cluster).apply(
+        FaultPlan().crash_at_site(site, when="post", restart_after=RESTART_DELAY))
+    trial.run()
+    node = trial.cluster.nodes["n1"]
+    assert node.crash_count == 1 and node.alive
+    assert [r.node for r in trial.cluster.metrics.recoveries] == ["n1"]
+    run = trial.result(site.describe(), {"site": site.to_dict()},
+                       fired=node.crash_count == 1)
+    assert run.verdict == "ok", run.violations
 
 
 def test_recorder_finds_all_three_kinds():

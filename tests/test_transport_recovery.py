@@ -3,8 +3,11 @@
 Pure tests cover :class:`BackoffPolicy` determinism, socket-error
 classification and the watchdog's external-finding seam.  ``live``
 tests exercise real sockets: sever/heal FIFO delivery, reconnecting
-through a peer outage, backoff give-up, kill + WAL restart
-mid-protocol (one torture cell end to end), periodic checkpoint
+through a peer outage, backoff give-up, ``LiveCluster.crash`` +
+WAL ``restart``, single live torture replays at recorded force sites
+(and one whose restart skips ``node.restart()``, which the verdict
+must fail),
+the force sites a twin check's two sides record, periodic checkpoint
 compaction under ``serve``, and the recovery observability surfaces.
 """
 
@@ -23,10 +26,11 @@ from repro.lrm.operations import write_op
 from repro.obs.registry import MetricsRegistry
 from repro.obs.watchdog import Watchdog, WatchdogFinding
 from repro.sim.randomness import RandomStream
-from repro.transport import (BackoffPolicy, LiveCluster, LiveFaultInjector,
-                             TcpTransport, classify_socket_error,
-                             load_records, restart_node, run_torture_cell,
-                             serve)
+from repro.torture.sites import SiteRecorder
+from repro.transport import (BackoffPolicy, LiveCluster, TcpTransport,
+                             classify_socket_error, load_records,
+                             restart_node, run_twin_check, serve)
+from repro.transport.torture import record_live_sites, run_live_site
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +228,15 @@ class TestLinkSupervision:
 # ----------------------------------------------------------------------
 # Kill + WAL restart
 # ----------------------------------------------------------------------
+def recorded_site(node, label):
+    """The first force site of the live PA workload (seed 17) that
+    logs ``label`` on ``node``; ``n0`` roots every transaction."""
+    sites, violations, __ = record_live_sites("PA")
+    assert not violations
+    return next(site for site in sites
+                if site.node == node and site.label == label)
+
+
 @pytest.mark.live
 class TestKillRestart:
     def test_restart_requires_a_kill(self, tmp_path):
@@ -245,18 +258,16 @@ class TestKillRestart:
             cluster = LiveCluster(PRESUMED_ABORT, nodes=["a", "b"],
                                   log_dir=str(tmp_path))
             registry = MetricsRegistry().attach(cluster)
-            injector = LiveFaultInjector(cluster, seed=5)
             await cluster.start()
             try:
                 spec = flat_tree("a", ["b"], txn_id="t0")
                 spec.participants[1].ops.append(write_op("k", 3))
                 await cluster.run_transaction(spec)
-                await injector.kill("b")
+                cluster.crash("b")
                 assert not cluster.nodes["b"].alive
-                info = await injector.restart("b")
+                info = await cluster.restart("b")
                 await cluster.wait_quiescent(timeout=5.0)
             finally:
-                injector.detach()
                 await cluster.stop()
             return (info, cluster.nodes["b"].alive,
                     cluster.recorded_outcome("b", "t0"),
@@ -276,13 +287,54 @@ class TestKillRestart:
         assert 'repro_recovery_seconds_count{node="b"} 1' in text
 
     def test_torture_cell_coordinator_post_decision(self):
-        cell = run_torture_cell("presumed_abort", "coord-post-decision",
-                                seed=17, txns=3, outage=0.03)
-        assert cell.ok, "\n".join(cell.problems)
-        assert cell.fired
-        assert cell.crashes == 1
-        assert cell.restarts and \
-            cell.restarts[0]["node"] == cell.victim
+        # One live replay: the PA root crashes once its COMMITTED record
+        # is durable, before telling anyone, and reboots from its WAL.
+        site = recorded_site("n0", "committed")
+        clusters = []
+        run = run_live_site("PA", 17, site, "post",
+                            instrument=clusters.append)
+        assert run.ok, run.violations
+        root = clusters[0].nodes["n0"]
+        assert root.alive and root.crash_count == 1
+        assert [r.node for r in clusters[0].metrics.recoveries] == ["n0"]
+
+
+@pytest.mark.live
+class TestLiveTorture:
+    def test_restart_skipping_node_restart_is_judged_not_ok(
+            self, monkeypatch):
+        # The victim's sockets come back but ``node.restart()`` never
+        # runs: the node stays down, so the run cannot settle.
+        import repro.transport.restart
+        import repro.transport.torture
+
+        async def reopen_only(cluster, name):
+            await cluster.transport.reopen_node(name)
+
+        site = recorded_site("n1", "prepared")
+        monkeypatch.setattr(repro.transport.restart, "restart_node",
+                            reopen_only)
+        monkeypatch.setattr(repro.transport.torture, "SETTLE_TIMEOUT", 1.0)
+        run = run_live_site("PA", 17, site, "post")
+        assert run.verdict == "no-quiescence"
+        assert "n1 still down after 1s" in run.violations
+
+    @pytest.mark.parametrize("protocol", ["basic", "presumed_abort",
+                                          "presumed_nothing",
+                                          "presumed_commit"])
+    def test_twin_sides_record_the_same_force_sites(self, protocol):
+        recorders = []
+        report = run_twin_check(
+            protocol, seed=17, txns=3,
+            instrument=lambda c: recorders.append(SiteRecorder().attach(c)))
+        assert report.clean, report.describe()
+        # A site is addressed per node, so concurrent forces on two
+        # nodes may interleave differently in the two worlds.
+        live, sim = (sorted((site.node, site.seq, site.label)
+                            for site in recorder.sites
+                            if site.kind == "force")
+                     for recorder in recorders)
+        assert live and live == sim
 
 
 # ----------------------------------------------------------------------

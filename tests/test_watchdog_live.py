@@ -273,12 +273,24 @@ class TestIncrementalScan:
     @pytest.mark.parametrize("site", ["coord-post-decision",
                                       "sub-post-vote"])
     def test_live_torture_journals(self, site):
-        """A journal with a kill, a WAL restart and recovery traffic."""
-        from repro.transport import run_torture_cell
-        cell = run_torture_cell("presumed_abort", site)
-        assert cell.ok, cell.problems
-        assert cell.journal
-        assert_incremental_matches(cell.journal)
+        """A journal with a kill, a WAL restart and recovery traffic:
+        one live PA replay, crashed after the root's COMMITTED or a
+        subordinate's PREPARED hardened."""
+        from repro.transport.torture import record_live_sites, run_live_site
+        node, label = {"coord-post-decision": ("n0", "committed"),
+                       "sub-post-vote": ("n1", "prepared")}[site]
+        sites, __, __ = record_live_sites("PA")
+        crash = next(s for s in sites
+                     if s.node == node and s.label == label)
+        recorders = []
+        run = run_live_site(
+            "PA", 17, crash, "post",
+            instrument=lambda c: recorders.append(
+                JournalRecorder().attach(c)))
+        assert run.ok, run.violations
+        journal = recorders[0].entries()
+        assert journal
+        assert_incremental_matches(journal)
 
     def test_admin_tick_reads_only_the_tail(self, monkeypatch):
         """The admin plane's recurring scan folds the journal's rows
